@@ -1,28 +1,21 @@
-"""Refine-phase speedup: parallel engine and bitset kernel vs the baseline.
+"""Refine-phase speedup: the parallel engine vs the sequential baseline.
 
 For every registry dataset of Table I:
 
 * time sequential FilterRefineSky (bloom refine) and the parallel
   engine at 2 and 4 workers (pool forced on, so the numbers include
   snapshot pickling, pool spin-up and result merging);
-* time sequential FilterRefineSkyBitset and the parallel engine with
-  ``refine="bitset"`` at the same worker counts;
 * subtract the shared filter-phase cost and report refine-phase
-  speedups — workers vs sequential, and bitset vs bloom.
+  speedups of the workers vs sequential.
 
 The safety net rides along: each result is asserted bit-for-bit equal
 to the sequential bloom output before its time is recorded.  Every
-measurement also lands in ``BENCH_skyline.json``; the sequential bitset
-entry carries ``extra["refine_speedup_vs_bloom"]``, the number the
-README table quotes.
+measurement also lands in ``BENCH_skyline.json``.
 
 Honest-measurement note: the parallel speedup ceiling is the host's
 usable CPU count (recorded in the report footer).  On a single-core
 container the parallel rows measure pure engine overhead and land below
-1.0×.  The bitset-vs-bloom ratio is hardware-independent but *input*
-dependent: it grows with the non-candidate fraction the kernel never
-iterates, and can drop below 1.0× on candidate-dense instances where
-packing and group setup outweigh the cheaper pair tests.
+1.0×.
 """
 
 import os
@@ -31,7 +24,6 @@ import time
 import pytest
 
 from _datasets import dataset
-from repro.core.bitset_refine import filter_refine_bitset_sky
 from repro.core.counters import SkylineCounters
 from repro.core.filter_phase import filter_phase
 from repro.core.filter_refine import filter_refine_sky
@@ -124,85 +116,6 @@ def test_parallel_speedup(figure_report, bench_json, name):
         "recorded."
     )
 
-    # ------------------------------------------------------------------
-    # Bitset kernel: sequential and parallel, same safety net.
-    # ------------------------------------------------------------------
-    # density_fallback=False: this table measures the packed kernel
-    # itself, including the candidate-dense instances the production
-    # heuristic routes to bloom (that 0.85x row is the calibration).
-    t_bit, bit = _best_of(
-        3, lambda: filter_refine_bitset_sky(graph, density_fallback=False)
-    )
-    assert bit.skyline == seq.skyline
-    assert bit.dominator == seq.dominator
-    refine_bit = max(t_bit - t_filter, 1e-9)
-    ratio = refine_seq / refine_bit
-    bench_json(
-        bench_entry(
-            bench="parallel_speedup",
-            instance=name,
-            algorithm="FilterRefineSkyBitset",
-            wall_s=t_bit,
-            refine_s=refine_bit,
-            extra={"refine_speedup_vs_bloom": ratio},
-        )
-    )
-
-    bit_row = [name, refine_seq, refine_bit, ratio]
-    for workers in WORKER_COUNTS:
-        t_par, par = _best_of(
-            2,
-            lambda w=workers: parallel_refine_sky(
-                graph,
-                workers=w,
-                small_graph_edges=0,
-                refine="bitset",
-                density_fallback=False,
-            ),
-        )
-        assert par.skyline == seq.skyline
-        assert par.dominator == seq.dominator
-        refine_par = max(t_par - t_filter, 1e-9)
-        bit_row.extend([refine_par, refine_bit / refine_par])
-        bench_json(
-            bench_entry(
-                bench="parallel_speedup",
-                instance=name,
-                algorithm=f"FilterRefineSkyParallel(bitset,{workers}w)",
-                wall_s=t_par,
-                refine_s=refine_par,
-                extra={
-                    "workers": workers,
-                    "refine": "bitset",
-                    "refine_speedup_vs_seq": refine_bit / refine_par,
-                },
-            )
-        )
-
-    bit_report = figure_report(
-        "Bitset refine speedup",
-        "Refine-phase time (s): packed-bitset kernel vs bloom baseline",
-        (
-            "dataset",
-            "refine bloom",
-            "refine bitset",
-            "bitset/bloom x",
-            "bitset 2w",
-            "speedup 2w",
-            "bitset 4w",
-            "speedup 4w",
-        ),
-    )
-    bit_report.add_row(*bit_row)
-    bit_report.add_note(
-        "bitset/bloom x is the sequential refine-phase ratio (>1 means "
-        "the packed kernel wins); it rises with the non-candidate "
-        "fraction of the 2-hop lists and can fall below 1.0 on "
-        "candidate-dense instances (e.g. dblp_sim at ~48% candidates) "
-        "where packing + group setup outweigh the cheaper pair tests. "
-        "Worker speedups are relative to the sequential bitset run."
-    )
-
 
 # ----------------------------------------------------------------------
 # Data plane: payload ship + pool spin-up, pickle vs shm, cold vs warm.
@@ -225,7 +138,7 @@ def test_data_plane_overhead(figure_report, bench_json):
     pickle, or segment publish for shm) on every invocation; a *warm*
     session call reuses the pool and the published graph segments, so
     its only per-call plane work is publishing the small call-scoped
-    blobs (candidates, dominated flags, bit-matrix rows).  Setup
+    blobs (candidates, dominators, dominated flags).  Setup
     overhead is separated from compute by subtracting the best warm
     wall time — the steady-state floor where the pool and graph bytes
     already sit in place.

@@ -1,12 +1,12 @@
 """Render the README benchmark tables from ``BENCH_skyline.json``.
 
 Reads the repo-root benchmark document and prints GitHub-markdown
-tables pasted into README.md — refine-phase times for the bloom
-baseline vs the packed-bitset kernel (``parallel_speedup`` entries),
-and eager vs lazy (CELF + CSR) group-centrality wall times with their
-evaluation counts (``fig7_group_closeness``/``fig8_group_harmonic``
-entries).  Keeping the renderer next to the data means the README
-numbers are always regenerable::
+tables pasted into README.md — e.g. eager vs lazy (CELF + CSR)
+group-centrality wall times with their evaluation counts
+(``fig7_group_closeness``/``fig8_group_harmonic`` entries) and the
+refine-kernel before/after rows (``refine_vector`` entries).  Keeping
+the renderer next to the data means the README numbers are always
+regenerable::
 
     PYTHONPATH=src python benchmarks/render_bench_table.py
 """
@@ -19,33 +19,6 @@ import sys
 from repro.harness.benchjson import BENCH_FILENAME, load_bench_json
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def render(entries) -> str:
-    by_key = {
-        (e["instance"], e["algorithm"]): e
-        for e in entries
-        if e["bench"] == "parallel_speedup"
-    }
-    instances = sorted({k[0] for k in by_key})
-    lines = [
-        "| dataset | refine bloom (s) | refine bitset (s) | speedup |",
-        "|---|---|---|---|",
-    ]
-    for name in instances:
-        bloom = by_key.get((name, "FilterRefineSky"))
-        bit = by_key.get((name, "FilterRefineSkyBitset"))
-        if bloom is None or bit is None:
-            continue
-        ratio = bit.get("extra", {}).get(
-            "refine_speedup_vs_bloom",
-            bloom["refine_s"] / bit["refine_s"],
-        )
-        lines.append(
-            f"| {name} | {bloom['refine_s']:.4f} | {bit['refine_s']:.4f} "
-            f"| {ratio:.2f}x |"
-        )
-    return "\n".join(lines)
 
 
 #: (bench, objective label) pairs feeding the group-centrality table.
@@ -149,11 +122,10 @@ def render_substrate(entries) -> str:
 def render_refine_vector(entries) -> str:
     """Block-kernel before/after table (``refine_vector`` entries).
 
-    One row per instance: candidate count, the before row's refine wall
-    (annotated with the path that actually ran — at large scale the
-    default-budget bitset kernel is the bloom fallback), the block
-    kernel's refine wall, and the measured speedup.  Returns ``""``
-    when ``bench_refine_vector.py`` has not been run yet.
+    One row per instance: candidate count, the sequential bloom
+    kernel's refine wall (the before row), the block kernel's refine
+    wall, and the measured speedup.  Returns ``""`` when
+    ``bench_refine_vector.py`` has not been run yet.
     """
     by_key = {
         (e["instance"], e["algorithm"]): e
@@ -162,20 +134,20 @@ def render_refine_vector(entries) -> str:
     }
     rows = []
     for name in sorted({k[0] for k in by_key}):
-        before = by_key.get((name, "FilterRefineSkyBitset"))
+        before = by_key.get((name, "FilterRefineSky"))
         after = by_key.get((name, "FilterRefineSkyBlock"))
         if before is None or after is None:
             continue
         b_extra = before.get("extra", {})
         a_extra = after.get("extra", {})
-        ratio = a_extra.get(
-            "refine_speedup",
-            b_extra["refine_s"] / a_extra["refine_s"],
+        # Refine wall = end-to-end wall minus the shared filter phase.
+        refine_before = b_extra.get(
+            "refine_s", before["wall_s"] - b_extra["filter_s"]
         )
+        ratio = refine_before / a_extra["refine_s"]
         rows.append(
             f"| {name} | {a_extra.get('candidate_size', '?')} "
-            f"| {b_extra['refine_s']:.2f} "
-            f"({b_extra.get('refine_path', '?')}) "
+            f"| {refine_before:.2f} "
             f"| {a_extra['refine_s']:.2f} | {ratio:.1f}x "
             f"| {a_extra.get('core_pretest_rejects', '?')} |"
         )
@@ -183,7 +155,7 @@ def render_refine_vector(entries) -> str:
         return ""
     return "\n".join(
         [
-            "| dataset | \\|C\\| | refine before (s) | refine block (s) "
+            "| dataset | \\|C\\| | refine bloom (s) | refine block (s) "
             "| speedup | core-pretest rejects |",
             "|---|---|---|---|---|---|",
             *rows,
@@ -315,37 +287,22 @@ def main() -> int:
     entries = load_bench_json(path)
     if not entries:
         print(
-            f"no entries in {path}; run "
-            "`PYTHONPATH=src python -m pytest benchmarks/"
-            "bench_parallel_speedup.py` first",
+            f"no entries in {path}; run the benchmarks first",
             file=sys.stderr,
         )
         return 1
-    print(render(entries))
-    greedy = render_greedy(entries)
-    if greedy:
-        print()
-        print(greedy)
-    substrate = render_substrate(entries)
-    if substrate:
-        print()
-        print(substrate)
-    refine_vector = render_refine_vector(entries)
-    if refine_vector:
-        print()
-        print(refine_vector)
-    large = render_large_tier(entries)
-    if large:
-        print()
-        print(large)
-    greedy_vector = render_greedy_vector(entries)
-    if greedy_vector:
-        print()
-        print(greedy_vector)
-    containment_vector = render_containment_vector(entries)
-    if containment_vector:
-        print()
-        print(containment_vector)
+    tables = [
+        render(entries)
+        for render in (
+            render_greedy,
+            render_substrate,
+            render_refine_vector,
+            render_large_tier,
+            render_greedy_vector,
+            render_containment_vector,
+        )
+    ]
+    print("\n\n".join(table for table in tables if table))
     return 0
 
 

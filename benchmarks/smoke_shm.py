@@ -6,7 +6,7 @@ leg:
 * one-shot pooled refine on the pickle and shm planes, each asserted
   bit-for-bit identical to the sequential engine;
 * one warm :class:`~repro.parallel.EngineSession` serving
-  refine (cold) → refine (warm) → bitset refine (warm) → lazy greedy
+  refine (cold) → refine (warm) → block refine (warm) → lazy greedy
   round 0 on the same pool, each result checked against its sequential
   reference and the cold/warm labels checked against the contract;
 * segment hygiene after every block: the in-process plane registry is
@@ -93,12 +93,11 @@ def run(instances) -> None:
             with EngineSession(
                 graph, workers=2, data_plane=plane
             ) as session:
-                for refine in ("bloom", "bloom", "bitset"):
+                for refine in ("bloom", "bloom", "block"):
                     counters = SkylineCounters()
                     result = session.refine_sky(
                         small_graph_edges=0,
                         refine=refine,
-                        density_fallback=False,
                         counters=counters,
                     )
                     assert result.skyline == seq_sky.skyline, (name, refine)

@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Protocol
 
+import numpy as _np
+
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 from repro.paths.csr import (
@@ -37,11 +39,6 @@ from repro.paths.csr import (
     resolve_gain_batch,
 )
 from repro.paths.truncated import improvements
-
-try:  # pragma: no cover - scalar fallback exercised via monkeypatching
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = ["GainObjective", "GreedyResult", "greedy_maximize"]
 
@@ -115,7 +112,7 @@ def greedy_maximize(
     gain_batch:
         Marginal-gain lanes per batched kernel call — ``"auto"`` (the
         default) sizes from ``n`` and the pool and resolves to 1 (the
-        scalar generator loop) on small graphs or without numpy; any
+        scalar generator loop) on small graphs; any
         value produces the identical result, since the batched kernel
         replays the scalar emission order bit for bit (see
         :mod:`repro.paths.csr`).  ``evaluations`` accounting never

@@ -96,7 +96,7 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
             "how graph data reaches pooled workers: shm publishes "
             "shared-memory segments workers attach zero-copy, pickle "
             "ships a payload per process; auto (default) prefers shm "
-            "and falls back to pickle when shared memory or numpy is "
+            "and falls back to pickle when shared memory is "
             "unavailable — identical results either way"
         ),
     )
@@ -213,10 +213,7 @@ def _skyline_dispatch(
         if timeout is not None:
             options["timeout"] = timeout
     elif workers != 1:
-        if algorithm == "filter_refine_bitset":
-            # Same engine, bitset kernel in the workers.
-            options["refine"] = "bitset"
-        elif algorithm == "filter_refine_block":
+        if algorithm == "filter_refine_block":
             # Same engine, block-vectorized kernel in the workers.
             options["refine"] = "block"
         elif algorithm != "filter_refine":
@@ -239,22 +236,6 @@ def _cmd_skyline(args: argparse.Namespace) -> int:
     algorithm, options = _skyline_dispatch(
         args.algorithm, workers, args.timeout, args.data_plane
     )
-    if getattr(args, "word_budget", None) is not None:
-        # Boundary validation: a nonpositive budget is rejected here
-        # with the full explanation instead of silently routing every
-        # refine to the bloom fallback.
-        from repro.graph.bitmatrix import validate_word_budget
-
-        validate_word_budget(args.word_budget)
-        if algorithm not in (
-            "filter_refine_bitset",
-            "filter_refine_parallel",
-        ):
-            raise ParameterError(
-                "--word-budget applies to filter_refine_bitset or the "
-                f"parallel engine, not {algorithm!r}"
-            )
-        options["word_budget"] = args.word_budget
     start = time.perf_counter()
     result = neighborhood_skyline(
         graph, algorithm=algorithm, counters=counters, **options
@@ -608,17 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "skyline algorithm (default: filter_refine); one of "
             + ", ".join(sorted(ALGORITHMS))
-        ),
-    )
-    p_sky.add_argument(
-        "--word-budget",
-        type=int,
-        default=None,
-        metavar="WORDS",
-        help=(
-            "dense/sparse cutover for the bitset refine kernel, in "
-            "uint64 words (positive; default 2**24); past the budget "
-            "the run falls back to the bloom kernel"
         ),
     )
     _add_workers_argument(p_sky)

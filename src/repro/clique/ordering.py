@@ -8,8 +8,7 @@ sparse graphs (the structural insight behind MC-BRB's ego-network
 decomposition).
 
 Both entry points delegate to the round-based batch peel of
-:mod:`repro.graph.cores` — vectorized over the CSR ndarrays when numpy
-is available, with an identical-schedule pure-Python fallback — which
+:mod:`repro.graph.cores` — vectorized over the CSR ndarrays — which
 replaced the scalar Matula–Beck bucket loops that used to live here.
 The peel order differs from the old lazy-deletion order (batches peel
 ID-ascending instead of popping the newest bucket entry) but is equally

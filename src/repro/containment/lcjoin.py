@@ -22,10 +22,9 @@ Two kernels compute that intersection:
   intersection chain, and ``np.nonzero``'s ascending output is exactly
   the scalar crosscut's result order.
 
-``kernel="auto"`` picks per index via :func:`choose_join_kernel`,
-mirroring the refine phase's ``choose_refine_kernel`` cutover: scalar
-without numpy or on indexes too small to amortize ndarray overhead,
-vector otherwise.  Both kernels return identical record-ID lists, so
+``kernel="auto"`` picks per index via :func:`choose_join_kernel`:
+scalar on indexes too small to amortize ndarray overhead, vector
+otherwise.  Both kernels return identical record-ID lists, so
 the choice is purely an execution knob.
 
 This module is generic over :class:`RecordSet`; the skyline-specific
@@ -36,14 +35,11 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
+import numpy as _np
+
 from repro.containment.inverted import InvertedIndex
 from repro.containment.records import RecordSet
 from repro.errors import ParameterError
-
-try:  # pragma: no cover - scalar fallback exercised via monkeypatching
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = ["ContainmentJoin", "choose_join_kernel"]
 
@@ -66,8 +62,7 @@ def _intersect_sorted(a, b):
     repeat an ID).  Both paths return the same IDs in ascending order.
     """
     if (
-        _np is not None
-        and isinstance(a, _np.ndarray)
+        isinstance(a, _np.ndarray)
         and isinstance(b, _np.ndarray)
         and len(a) >= INTERSECT_VECTOR_MIN
         and len(b) >= INTERSECT_VECTOR_MIN
@@ -93,7 +88,6 @@ def _intersect_sorted(a, b):
 def choose_join_kernel(total_entries: int, num_records: int) -> str:
     """The ``kernel="auto"`` cutover: ``"scalar"`` or ``"vector"``.
 
-    * no numpy → ``"scalar"`` (the only kernel that runs everywhere);
     * tiny indexes (< :data:`JOIN_KERNEL_MIN_ENTRIES` posting entries)
       → ``"scalar"`` (ndarray call overhead dominates);
     * extremely sparse indexes (``total_entries * 8 < num_records``)
@@ -101,8 +95,6 @@ def choose_join_kernel(total_entries: int, num_records: int) -> str:
       outweighs the few entries actually counted);
     * everything else → ``"vector"``.
     """
-    if _np is None:
-        return "scalar"
     if total_entries < JOIN_KERNEL_MIN_ENTRIES:
         return "scalar"
     if total_entries * 8 < num_records:
@@ -114,8 +106,7 @@ class ContainmentJoin:
     """Joins a query :class:`RecordSet` against a data :class:`RecordSet`.
 
     ``kernel`` is ``"auto"`` (pick via :func:`choose_join_kernel`),
-    ``"scalar"`` or ``"vector"``; an explicit ``"vector"`` without
-    numpy falls back to scalar.  Identical results either way.
+    ``"scalar"`` or ``"vector"``.  Identical results either way.
 
     >>> data = RecordSet([{1, 2, 3}, {2, 3}, {4}])
     >>> queries = RecordSet([{2, 3}])
@@ -135,8 +126,6 @@ class ContainmentJoin:
             kernel = choose_join_kernel(
                 self._index.memory_entries(), len(data)
             )
-        elif kernel == "vector" and _np is None:
-            kernel = "scalar"
         self._kernel = kernel
 
     @property

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.core.base_sky import base_sky
-from repro.core.bitset_refine import filter_refine_bitset_sky
 from repro.core.block_refine import filter_refine_block_sky
 from repro.core.counters import SkylineCounters
 from repro.core.cset import base_cset_sky
@@ -50,7 +49,6 @@ def _parallel_refine_sky(graph: Graph, **options) -> SkylineResult:
 #: plus the naive reference and the multi-worker refine engine.
 ALGORITHMS: dict[str, Callable[..., SkylineResult]] = {
     "filter_refine": filter_refine_sky,
-    "filter_refine_bitset": filter_refine_bitset_sky,
     "filter_refine_block": filter_refine_block_sky,
     "filter_refine_parallel": _parallel_refine_sky,
     "base": base_sky,
@@ -76,13 +74,9 @@ def neighborhood_skyline(
         The input graph.
     algorithm:
         One of ``"filter_refine"`` (the paper's FilterRefineSky — the
-        default), ``"filter_refine_bitset"`` (the same result via the
-        packed-bitset refine kernel — the fastest on small dense
-        candidate sets, with an automatic bloom fallback past its word
-        budget), ``"filter_refine_block"`` (the same result via the
+        default), ``"filter_refine_block"`` (the same result via the
         block-vectorized counting kernel of
-        :mod:`repro.core.block_refine` — the fastest on large
-        candidate sets, no bit matrix needed),
+        :mod:`repro.core.block_refine` — for large candidate sets),
         ``"filter_refine_parallel"`` (the same
         result computed with a multi-worker refine phase), ``"base"``
         (BaseSky), ``"two_hop"`` (Base2Hop), ``"cset"`` (BaseCSet),
@@ -92,9 +86,9 @@ def neighborhood_skyline(
         Optional :class:`SkylineCounters` to collect work statistics.
     options:
         Algorithm-specific keywords, e.g. ``bloom_bits`` / ``seed`` /
-        ``exact`` for ``"filter_refine"`` and ``"two_hop"``,
-        ``word_budget`` for ``"filter_refine_bitset"``, or ``workers``
-        / ``chunk_size`` / ``refine`` for ``"filter_refine_parallel"``.
+        ``exact`` for ``"filter_refine"`` and ``"two_hop"``, or
+        ``workers`` / ``chunk_size`` / ``refine`` for
+        ``"filter_refine_parallel"``.
 
     >>> from repro.graph.generators import complete_graph
     >>> neighborhood_skyline(complete_graph(5)).skyline

@@ -1,6 +1,6 @@
 """``FilterRefineSkyBlock`` — the block-vectorized refine kernel.
 
-The bloom and bitset refine kernels walk the 2-hop neighborhood of each
+The bloom refine kernel walks the 2-hop neighborhood of each
 candidate in Python, one pair at a time.  This module evaluates the
 same pairs in **blocks** over the CSR ndarrays: one ragged gather pulls
 an entire block of candidates' 2-hop entries ``(u, w)`` into flat
@@ -16,9 +16,8 @@ neighbor it shares with ``u``.  One ``np.unique`` over packed
 no per-pair Python, and the verdict is exact by construction.  The
 accept condition is equivalent to the scalar kernels' because the
 via-vertex exclusion ``N(u) \\ {v} ⊆ N(w)`` is v-independent on every
-reachable pair (``w ∈ N(v)`` forces ``v ∈ N(w)``) — the same
-v-independence the bitset kernel's verdict-stamp cache rides on; here
-it is what lets a per-pair *count* stand in for per-via subset tests.
+reachable pair (``w ∈ N(v)`` forces ``v ∈ N(w)``) — which is what
+lets a per-pair *count* stand in for per-via subset tests.
 
 Output equivalence reuses the two-pass decomposition proved in
 :mod:`repro.parallel.worker` verbatim:
@@ -51,9 +50,9 @@ Counter semantics
 Bulk masks tally skips per gathered *entry* (every ``(v, w)`` visit,
 like the bloom scan would) and ``pair_tests`` per distinct pair that
 reaches the counting test.  ``vertices_examined`` and
-``dominations_found`` match the parallel bloom/bitset totals exactly;
-the skip tallies never undercount but, like the bitset kernel's bulk
-tallies, keep counting where a scalar scan would have early-exited.
+``dominations_found`` match the parallel bloom totals exactly; the
+skip tallies never undercount but keep counting where a scalar scan
+would have early-exited.
 ``bloom_*`` and ``nbr_checks`` stay zero.  Totals are deterministic
 for any chunking.
 """
@@ -62,6 +61,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as _np
+
 from repro.core.counters import NULL_COUNTERS, SkylineCounters
 from repro.core.filter_phase import filter_phase
 from repro.core.result import SkylineResult
@@ -69,61 +70,17 @@ from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.cores import core_decomposition
 
-try:  # pragma: no cover - exercised via HAVE_NUMPY gating tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-#: ``True`` when numpy is importable and the block kernel can run.
-HAVE_NUMPY = _np is not None
-
 __all__ = [
     "BLOCK_ENTRY_BUDGET",
-    "BLOCK_KERNEL_MIN_CANDIDATES",
     "BlockRefineContext",
-    "HAVE_NUMPY",
     "block_status_chunk",
     "block_witness_chunk",
-    "choose_refine_kernel",
     "filter_refine_block_sky",
 ]
 
 #: Gathered 2-hop entries per status block — bounds the flat scratch
 #: arrays to a few tens of MB however large the graph is.
 BLOCK_ENTRY_BUDGET = 1 << 22
-
-#: Below this many candidates the scalar bitset kernel (packing is
-#: microseconds, scans early-exit) beats the block kernel's fixed
-#: per-block ndarray overhead; ``choose_refine_kernel`` routes there.
-BLOCK_KERNEL_MIN_CANDIDATES = 512
-
-
-def choose_refine_kernel(
-    num_candidates: int,
-    num_vertices: int,
-    *,
-    word_budget: int,
-) -> str:
-    """The three-way ``refine="auto"`` cutover: bloom / bitset / block.
-
-    * no numpy → ``"bloom"`` (the only kernel that runs everywhere);
-    * small candidate sets whose packed matrix fits ``word_budget`` →
-      ``"bitset"`` (scalar early-exit scans win under the block
-      kernel's fixed ndarray overhead);
-    * everything else → ``"block"`` (the vectorized counting kernel —
-      it needs no bit matrix, so neither the word budget nor the
-      candidate-density fallback applies to it).
-    """
-    if not HAVE_NUMPY:
-        return "bloom"
-    from repro.graph.bitmatrix import matrix_words
-
-    if (
-        num_candidates < BLOCK_KERNEL_MIN_CANDIDATES
-        and matrix_words(num_candidates, num_vertices) <= word_budget
-    ):
-        return "bitset"
-    return "block"
 
 
 def _graph_csr(graph: Graph):
@@ -178,11 +135,6 @@ class BlockRefineContext:
         cores=None,
         entry_budget: int = BLOCK_ENTRY_BUDGET,
     ):
-        if not HAVE_NUMPY:
-            raise ParameterError(
-                "the block refine kernel requires numpy; gate on "
-                "repro.core.block_refine.HAVE_NUMPY"
-            )
         indptr, indices = _graph_csr(graph)
         self.n = graph.num_vertices
         self.indptr = indptr.astype(_np.int64, copy=False)
@@ -364,19 +316,12 @@ def filter_refine_block_sky(
     *,
     counters: Optional[SkylineCounters] = None,
     entry_budget: int = BLOCK_ENTRY_BUDGET,
-    bloom_bits: Optional[int] = None,
-    bits_per_element: int = 8,
-    seed: int = 0,
 ) -> SkylineResult:
     """Compute the neighborhood skyline with the block refine kernel.
 
     Same filter phase, same result as
     :func:`~repro.core.filter_refine.filter_refine_sky` — bit for bit —
-    with the refine phase evaluated in vectorized blocks.  Without
-    numpy the refine falls back to the bloom pass (``bloom_bits`` /
-    ``bits_per_element`` / ``seed`` size it; they are ignored when the
-    block kernel runs) and ``counters.extra`` records
-    ``refine_path == "bloom-fallback"`` with reason ``"numpy-missing"``.
+    with the refine phase evaluated in vectorized blocks.
     """
     if entry_budget <= 0:
         raise ParameterError(
@@ -385,30 +330,6 @@ def filter_refine_block_sky(
     stats = counters if counters is not None else NULL_COUNTERS
     n = graph.num_vertices
     candidates, dominator = filter_phase(graph, counters=counters)
-
-    if not HAVE_NUMPY:
-        from repro.bloom.vertex_filters import VertexBloomIndex
-        from repro.core.filter_refine import bloom_refine_pass
-
-        blooms = VertexBloomIndex(
-            graph,
-            candidates,
-            bits=bloom_bits,
-            seed=seed,
-            bits_per_element=bits_per_element,
-        )
-        bloom_refine_pass(graph, candidates, dominator, blooms, stats)
-        if counters is not None:
-            counters.extra["refine_path"] = "bloom-fallback"
-            counters.extra["bitset_fallback_reason"] = "numpy-missing"
-        skyline = tuple(u for u in range(n) if dominator[u] == u)
-        return SkylineResult(
-            skyline=skyline,
-            dominator=tuple(dominator),
-            candidates=tuple(candidates),
-            algorithm="FilterRefineSkyBlock(bloom-fallback)",
-            counters=counters,
-        )
 
     ctx = BlockRefineContext(
         graph, candidates, dominator, entry_budget=entry_budget

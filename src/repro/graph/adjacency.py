@@ -322,8 +322,7 @@ class CSRGraphView(Graph):
     def csr_arrays(self):
         """The borrowed buffers wrapped as zero-copy ndarrays.
 
-        Requires numpy (callers on the array substrate are already
-        numpy-gated); the wrappers are built once and cached.
+        The wrappers are built once and cached.
         """
         if self._np_arrays is None:
             import numpy as np

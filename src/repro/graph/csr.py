@@ -22,42 +22,23 @@ unchanged.  What the array backing buys:
 
 Arrays are exposed read-only (``writeable=False`` views), matching the
 immutability contract of the list-backed graph.
-
-``numpy`` is optional at runtime: gate on :data:`HAVE_NUMPY` (callers
-like :func:`as_csr` degrade to the list-backed graph when it is
-missing).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+import numpy as _np
+
 from repro.errors import GraphFormatError
 from repro.graph.adjacency import Graph
 
-try:  # pragma: no cover - exercised via HAVE_NUMPY gating tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-#: ``True`` when numpy is importable and CSRGraph can be built.
-HAVE_NUMPY = _np is not None
-
 __all__ = [
     "CSRGraph",
-    "HAVE_NUMPY",
     "as_csr",
     "csr_from_edge_arrays",
     "graph_from_edge_arrays",
 ]
-
-
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:
-        raise GraphFormatError(
-            "CSRGraph requires numpy; gate on repro.graph.csr.HAVE_NUMPY "
-            "or build a list-backed Graph instead"
-        )
 
 
 def _readonly_i32(data):
@@ -112,7 +93,6 @@ class CSRGraph(Graph):
         Buffers already in ``int32`` (including memmaps) are wrapped
         zero-copy; anything else is converted once.
         """
-        _require_numpy()
         indptr = _np.asarray(indptr)
         if len(indptr) == 0:
             raise GraphFormatError("CSR indptr must have at least 1 entry")
@@ -213,13 +193,13 @@ class CSRGraph(Graph):
 
 
 def as_csr(graph: Graph) -> Graph:
-    """``graph`` on the numpy substrate when available, else unchanged.
+    """``graph`` on the numpy substrate (unchanged if already there).
 
     The single upgrade point loaders and the workload registry call:
     results are bit-for-bit identical either way, so callers never need
     to know which backing they got.
     """
-    if not HAVE_NUMPY or isinstance(graph, CSRGraph):
+    if isinstance(graph, CSRGraph):
         return graph
     return CSRGraph.from_graph(graph)
 
@@ -232,7 +212,6 @@ def csr_from_edge_arrays(n: int, us, vs):
     validate upstream).  Returns sorted ``(indptr, indices)`` ``int32``
     arrays; cost is one ``lexsort`` over the ``2m`` directed entries.
     """
-    _require_numpy()
     us = _np.asarray(us, dtype=_np.int64)
     vs = _np.asarray(vs, dtype=_np.int64)
     src = _np.concatenate([us, vs])

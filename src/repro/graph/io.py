@@ -20,10 +20,9 @@ ID-based tie-break of Definition 2 stays deterministic.
 
 Parsing is streaming: edges accumulate into one flat machine-typed
 buffer as lines are read (no intermediate list of pair tuples, so peak
-memory is the edge array itself), and when numpy is available the
-dedupe/compaction/CSR assembly happens vectorized and the result is a
-:class:`~repro.graph.csr.CSRGraph` — behaviorally identical to the
-list-backed build, including every error message.
+memory is the edge array itself), then the dedupe/compaction/CSR
+assembly happens vectorized and the result is a
+:class:`~repro.graph.csr.CSRGraph`.
 """
 
 from __future__ import annotations
@@ -33,14 +32,11 @@ import os
 from array import array
 from typing import IO, Iterable, Union
 
+import numpy as _np
+
 from repro.errors import GraphFormatError
 from repro.graph.adjacency import Graph
 from repro.graph.builder import GraphBuilder
-
-try:  # pragma: no cover - list-backed fallback exercised via gating
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = ["load_graph", "read_edge_list", "read_konect", "write_edge_list"]
 
@@ -139,24 +135,9 @@ def read_edge_list(
         if should_close:
             fh.close()
 
-    if _np is not None and len(endpoints):
-        return _assemble_csr(endpoints, label, compact, allow_duplicates)
-
-    pairs = [
-        (endpoints[i], endpoints[i + 1])
-        for i in range(0, len(endpoints), 2)
-    ]
-    if compact:
-        ids = sorted({x for pair in pairs for x in pair})
-        remap = {old: new for new, old in enumerate(ids)}
-        pairs = [(remap[u], remap[v]) for u, v in pairs]
-
-    builder = GraphBuilder()
-    for u, v in pairs:
-        if not allow_duplicates and builder.has_edge(u, v):
-            raise GraphFormatError(f"{label}: duplicate edge ({u}, {v})")
-        builder.add_edge(u, v)
-    return builder.build()
+    if not len(endpoints):
+        return GraphBuilder().build()
+    return _assemble_csr(endpoints, label, compact, allow_duplicates)
 
 
 def _assemble_csr(

@@ -13,11 +13,11 @@ Document shape (``schema`` version 1)::
         {
           "bench": "parallel_speedup",        # producing benchmark
           "instance": "wikitalk_sim",          # registry dataset name
-          "algorithm": "FilterRefineSkyBitset",
+          "algorithm": "FilterRefineSkyParallel(bloom,2w)",
           "wall_s": 0.0123,                    # end-to-end wall time
           "refine_s": 0.0075,                  # refine phase only (opt.)
           "counters": {"pair_tests": ...},     # as_dict() sums (opt.)
-          "extra": {"speedup_vs_bloom": 3.5}   # free-form (opt.)
+          "extra": {"workers": 2}              # free-form (opt.)
         },
         ...
       ]

@@ -36,19 +36,11 @@ from array import array
 from typing import Optional
 
 from repro.bloom.vertex_filters import width_for_max_degree
-from repro.core.bitset_refine import density_prefers_bloom
-from repro.core.block_refine import choose_refine_kernel
 from repro.core.counters import SkylineCounters
 from repro.core.filter_phase import filter_phase
 from repro.core.result import SkylineResult
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
-from repro.graph.bitmatrix import (
-    HAVE_NUMPY,
-    CandidateBitMatrix,
-    matrix_words,
-    validate_word_budget,
-)
 from repro.graph.cores import core_decomposition
 from repro.parallel.chunks import chunk_ranges, default_chunk_size
 from repro.parallel.params import validate_pool_params
@@ -111,8 +103,6 @@ def parallel_refine_sky(
     counters: Optional[SkylineCounters] = None,
     exact: bool = True,
     refine: str = "bloom",
-    word_budget: Optional[int] = None,
-    density_fallback: bool = True,
     timeout: Optional[float] = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
     fault_plan: Optional[FaultPlan] = None,
@@ -145,33 +135,12 @@ def parallel_refine_sky(
         and a parallel run could return a different subset.
     refine:
         Pair-test kernel for the scans: ``"bloom"`` (the default bloom
-        ladder), ``"bitset"`` (the packed AND-NOT of
-        :mod:`repro.core.bitset_refine`; the parent packs the candidate
-        matrix once and ships raw words, workers rebuild views),
-        ``"block"`` (the block-vectorized counting kernel of
-        :mod:`repro.core.block_refine`; the parent peels the k-core
-        decomposition once and ships the core numbers), or ``"auto"``
-        (the three-way cutover of
-        :func:`~repro.core.block_refine.choose_refine_kernel`, decided
-        here in the parent).  All kernels accept exactly the same
-        pairs, so the result is identical whichever runs; counters
-        differ per kernel but remain deterministic for any worker
-        count and chunking.
-    word_budget:
-        Bitset cutover as in
-        :func:`~repro.core.bitset_refine.filter_refine_bitset_sky`:
-        when ``|C| · ⌈n/64⌉`` words exceed it (or numpy is missing) a
-        ``refine="bitset"`` run falls back to the bloom kernel and
-        records ``counters.extra["refine_path"] == "bloom-fallback"``
-        with the reason in ``"bitset_fallback_reason"``.  Candidate-
-        dense inputs fall back too
-        (:func:`~repro.core.bitset_refine.density_prefers_bloom`) —
-        the parent decides, so one run uses one kernel throughout.
-        Nonpositive budgets are rejected
-        (:func:`~repro.graph.bitmatrix.validate_word_budget`).
-    density_fallback:
-        ``False`` disables the candidate-density cutover only, as in
-        :func:`~repro.core.bitset_refine.filter_refine_bitset_sky`.
+        ladder of Algorithm 3) or ``"block"`` (the block-vectorized
+        counting kernel of :mod:`repro.core.block_refine`; the parent
+        peels the k-core decomposition once and ships the core
+        numbers).  Both kernels accept exactly the same pairs, so the
+        result is identical whichever runs; counters differ per kernel
+        but remain deterministic for any worker count and chunking.
     timeout / max_retries:
         Recovery policy of the :class:`~repro.parallel.supervisor.
         PoolSupervisor` every pooled run now executes under: per-chunk
@@ -188,13 +157,13 @@ def parallel_refine_sky(
     data_plane:
         How graph-scale data reaches the workers.  ``"pickle"`` ships a
         payload per process through the pool initializer (the classic
-        plane).  ``"shm"`` publishes the CSR arrays, candidate ids and
-        bit-matrix words as named shared-memory segments
+        plane).  ``"shm"`` publishes the CSR arrays, candidate ids,
+        dominators and core numbers as named shared-memory segments
         (:mod:`repro.parallel.shm`); workers attach zero-copy and
         rebuild only per-process scratch (the bloom index / traversal
         workspace).  ``"auto"`` (the default) picks shm when
-        :mod:`multiprocessing.shared_memory` and numpy are both usable
-        and falls back to pickle otherwise — the resolved plane and any
+        :mod:`multiprocessing.shared_memory` is usable and falls back
+        to pickle otherwise — the resolved plane and any
         fallback reason land in ``counters.extra["data_plane"]`` /
         ``["data_plane_fallback_reason"]``.  Both planes are bit-for-bit
         identical in results.
@@ -217,12 +186,10 @@ def parallel_refine_sky(
             "algorithm='filter_refine' with exact=False for the "
             "approximate variant"
         )
-    if refine not in ("bloom", "bitset", "block", "auto"):
+    if refine not in ("bloom", "block"):
         raise ParameterError(
-            f"unknown refine kernel {refine!r}; choose 'bloom', "
-            "'bitset', 'block' or 'auto'"
+            f"unknown refine kernel {refine!r}; choose 'bloom' or 'block'"
         )
-    word_budget = validate_word_budget(word_budget)
     if session is not None:
         session.check_open()
         if session.graph is not graph:
@@ -294,40 +261,9 @@ def parallel_refine_sky(
     n = graph.num_vertices
     candidates, dominator = filter_phase(graph, counters=counters)
 
-    # The kernel cutover is decided here in the parent — workers never
-    # second-guess it — so one run uses one kernel throughout.
-    effective_refine = refine
-    words_needed = matrix_words(len(candidates), n)
-    bitset_fallback_reason = None
-    if refine == "auto":
-        # choose_refine_kernel only picks "bitset" below the block
-        # minimum candidate count, where the density fallback never
-        # applies — no second cutover pass needed.
-        effective_refine = choose_refine_kernel(
-            len(candidates), n, word_budget=word_budget
-        )
-    elif refine == "bitset":
-        if not HAVE_NUMPY or words_needed > word_budget:
-            bitset_fallback_reason = "word-budget"
-        elif density_fallback and density_prefers_bloom(len(candidates), n):
-            bitset_fallback_reason = "candidate-density"
-        if bitset_fallback_reason is not None:
-            effective_refine = "bloom"
-    elif refine == "block" and not HAVE_NUMPY:
-        bitset_fallback_reason = "numpy-missing"
-        effective_refine = "bloom"
-    matrix = (
-        CandidateBitMatrix.from_graph(graph, candidates)
-        if effective_refine == "bitset"
-        else None
-    )
     # Block mode: peel the k-core decomposition once, parent-side; it
     # rides to workers like any other call-scoped snapshot.
-    cores = (
-        core_decomposition(graph).core
-        if effective_refine == "block"
-        else None
-    )
+    cores = core_decomposition(graph).core if refine == "block" else None
 
     size = chunk_size or default_chunk_size(len(candidates), workers)
     status_tasks = chunk_ranges(len(candidates), size)
@@ -355,8 +291,7 @@ def parallel_refine_sky(
                         dominator,
                         bits=bits,
                         seed=seed,
-                        refine=effective_refine,
-                        matrix=matrix,
+                        refine=refine,
                         cores=cores,
                     )
                 )
@@ -365,7 +300,7 @@ def parallel_refine_sky(
         if effective_plane == "shm":
             # Shared-memory plane: the graph CSR lives in named
             # segments workers attach zero-copy; call-scoped data
-            # (candidates, dominators, matrix words) ships the same
+            # (candidates, dominators, core numbers) ships the same
             # way, so each task is a few-hundred-byte spec.
             owns_plane = session is None
             publish_t0 = time.perf_counter()
@@ -392,11 +327,6 @@ def parallel_refine_sky(
                 )
                 cand_ref = plane.publish(array("q", candidates), "q")
                 dom_ref = plane.publish(array("q", dominator), "q")
-                matrix_ref = (
-                    plane.publish(matrix.rows, "B")
-                    if matrix is not None
-                    else None
-                )
                 cores_ref = (
                     plane.publish(array("q", cores), "q")
                     if cores is not None
@@ -413,11 +343,6 @@ def parallel_refine_sky(
                 dom_ref = session.cached_segment(
                     "dom", array("q", dominator), "q"
                 )
-                matrix_ref = (
-                    session.cached_segment("matrix", matrix.rows, "B")
-                    if matrix is not None
-                    else None
-                )
                 cores_ref = (
                     session.cached_segment("cores", array("q", cores), "q")
                     if cores is not None
@@ -427,20 +352,18 @@ def parallel_refine_sky(
             spec = RefineSpec(
                 epoch=epoch,
                 key=(
-                    effective_refine,
+                    refine,
                     bits,
                     seed,
                     cand_ref.name,
                     dom_ref.name,
-                    matrix_ref.name if matrix_ref is not None else None,
                     cores_ref.name if cores_ref is not None else None,
                 ),
-                refine=effective_refine,
+                refine=refine,
                 bits=bits,
                 seed=seed,
                 candidates=cand_ref,
                 dominator=dom_ref,
-                matrix=matrix_ref,
                 cores=cores_ref,
             )
             plane_publish_s = time.perf_counter() - publish_t0
@@ -504,8 +427,7 @@ def parallel_refine_sky(
                 dominator,
                 bits=bits,
                 seed=seed,
-                refine=effective_refine,
-                matrix=matrix,
+                refine=refine,
                 cores=cores,
             )
             supervisor = PoolSupervisor(
@@ -557,8 +479,7 @@ def parallel_refine_sky(
             dominator,
             bits=bits,
             seed=seed,
-            refine=effective_refine,
-            matrix=matrix,
+            refine=refine,
             cores=cores,
         )
         dominated = []
@@ -594,20 +515,8 @@ def parallel_refine_sky(
         if resilience_events is not None:
             for key, value in resilience_events.items():
                 counters.extra[key] = counters.extra.get(key, 0) + value
-        if bitset_fallback_reason is not None:
-            counters.extra["refine_path"] = "bloom-fallback"
-            counters.extra["bitset_fallback_reason"] = bitset_fallback_reason
-            if bitset_fallback_reason == "word-budget":
-                counters.extra["bitset_words_over_budget"] = words_needed
-            elif bitset_fallback_reason == "candidate-density":
-                counters.extra["candidate_density"] = (
-                    len(candidates) / n if n else 0.0
-                )
-        else:
-            counters.extra["refine_path"] = effective_refine
-        if refine == "auto":
-            counters.extra["refine_requested"] = "auto"
-        if effective_refine == "block":
+        counters.extra["refine_path"] = refine
+        if refine == "block":
             # The chunk merges already accumulated the pretest tally;
             # pin the key even when no pair was ever rejected.
             counters.extra.setdefault("core_pretest_rejects", 0)

@@ -37,17 +37,14 @@ import multiprocessing
 from array import array
 from typing import NamedTuple, Optional
 
+import numpy as _np
+
 from repro.parallel.shm import SegmentRef, attach_view, release_attachments
 from repro.paths.csr import (
     CSRTraversal,
     make_batch_evaluator,
     make_evaluator,
 )
-
-try:  # pragma: no cover - scalar fallback exercised via monkeypatching
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "GreedySpec",

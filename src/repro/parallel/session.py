@@ -14,7 +14,7 @@ immutable graph — that setup dwarfs the dispatch.  An
   hundred bytes per chunk and hits the workers' state cache outright —
   the first call pays publish + fork, later calls pay chunk dispatch.
 * On the **pickle plane** (forced, or the automatic fallback when
-  shared memory or numpy is unavailable) the session still centralizes
+  shared memory is unavailable) the session still centralizes
   the scheduling knobs, but every call rebuilds its own pool — warm
   reuse requires attachable segments, and the docs say so.
 
@@ -87,8 +87,8 @@ class EngineSession:
     rebuilding the pool.
 
     ``data_plane`` is resolved once, here: ``"auto"`` picks ``"shm"``
-    when shared memory and numpy are both usable and falls back to
-    ``"pickle"`` otherwise (the reason lands in
+    when shared memory is usable and falls back to ``"pickle"``
+    otherwise (the reason lands in
     ``counters.extra["data_plane_fallback_reason"]`` of every call).
     """
 

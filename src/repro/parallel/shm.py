@@ -1,6 +1,6 @@
 """Zero-copy shared-memory data plane for the pooled engines.
 
-The pickle plane ships a full CSR/bitmatrix payload into *every* worker
+The pickle plane ships a full CSR payload into *every* worker
 through the pool initializer and rebuilds adjacency lists per process.
 For one immutable graph served repeatedly that is pure overhead: the
 refine and greedy kernels are read-only over frozen snapshots, which is
@@ -42,8 +42,6 @@ import os
 import weakref
 from typing import NamedTuple, Optional
 
-from repro.graph.bitmatrix import HAVE_NUMPY
-
 try:  # pragma: no cover - absence exercised via monkeypatched HAVE_SHM
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover
@@ -76,8 +74,8 @@ def buffer_typecode(data) -> str:
     ``array('q')`` snapshots report ``"q"``, ``int32`` ndarrays ``"i"``,
     ``int64`` ndarrays ``"l"`` or ``"q"`` — whatever
     ``memoryview(data).format`` says, as long as :func:`attach_view` can
-    ``cast`` to it on the worker side.  Anything else (packed bitmatrix
-    words, multi-byte structs) degrades to raw bytes ``"B"``.
+    ``cast`` to it on the worker side.  Anything else degrades to raw
+    bytes ``"B"``.
     """
     fmt = memoryview(data).format
     return fmt if fmt in _CASTABLE_FORMATS else "B"
@@ -133,10 +131,9 @@ def resolve_data_plane(requested: str) -> tuple[str, Optional[str]]:
     """Resolve a ``data_plane`` request against what the host supports.
 
     Returns ``(plane, fallback_reason)``.  ``"auto"`` resolves to
-    ``"shm"`` when shared memory and numpy are both usable and degrades
-    to ``"pickle"`` otherwise, carrying the reason —
-    ``"no-shared-memory"`` or ``"no-numpy"`` — so engines can record
-    why.  Explicit requests are honored or rejected, never degraded:
+    ``"shm"`` when shared memory is usable and degrades to ``"pickle"``
+    otherwise, carrying the reason ``"no-shared-memory"`` so engines
+    can record why.  Explicit requests are honored or rejected, never degraded:
     ``"pickle"`` always works, ``"shm"`` raises
     :class:`~repro.errors.ParameterError` on a host that cannot serve
     it.
@@ -157,13 +154,6 @@ def resolve_data_plane(requested: str) -> tuple[str, Optional[str]]:
                 "data_plane='pickle' (or 'auto' to fall back silently)"
             )
         return "pickle", "no-shared-memory"
-    if not HAVE_NUMPY:
-        if requested == "shm":
-            raise ParameterError(
-                "data_plane='shm' requires numpy for zero-copy views; "
-                "use 'auto' to fall back to pickle silently"
-            )
-        return "pickle", "no-numpy"
     return "shm", None
 
 

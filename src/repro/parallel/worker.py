@@ -30,20 +30,8 @@ rebuild once per process from a pickle-cheap CSR payload
 chunk they are handed — including the per-worker
 :class:`~repro.bloom.vertex_filters.VertexBloomIndex`.
 
-Both passes also come in a packed-bitset flavor
-(:func:`scan_status_bitset` / :func:`scan_witness_bitset`): the same
-two-pass decomposition with the per-pair test replaced by the
-word-parallel AND-NOT of :mod:`repro.core.bitset_refine`.  The engine
-packs the candidate matrix **once in the parent**, ships its raw words
-inside the payload, and workers rebuild zero-copy *views*
-(:meth:`~repro.graph.bitmatrix.CandidateBitMatrix.from_payload`) —
-rows are never re-packed per process.  Equivalence transfers verbatim:
-the decomposition argument above never looks inside the pair test, only
-at which pairs are skipped, and the bitset test accepts exactly the
-pairs the exact bloom ladder accepts.
-
-And in a block-vectorized flavor (``refine="block"``): the chunk
-runners hand whole candidate ranges to
+Both passes also come in a block-vectorized flavor
+(``refine="block"``): the chunk runners hand whole candidate ranges to
 :mod:`repro.core.block_refine`'s batch kernels instead of scanning one
 vertex at a time.  The same two-pass decomposition applies unchanged —
 the block kernel implements exactly the status/witness predicates
@@ -59,7 +47,6 @@ from array import array
 from typing import NamedTuple, Optional, Sequence
 
 from repro.bloom.vertex_filters import VertexBloomIndex
-from repro.core.bitset_refine import BitsetScanContext
 from repro.core.block_refine import (
     BlockRefineContext,
     block_status_chunk,
@@ -67,7 +54,6 @@ from repro.core.block_refine import (
 )
 from repro.core.counters import SkylineCounters
 from repro.graph.adjacency import CSRGraphView, Graph
-from repro.graph.bitmatrix import CandidateBitMatrix
 from repro.parallel.shm import SegmentRef, attach_view, release_attachments
 
 __all__ = [
@@ -79,9 +65,7 @@ __all__ = [
     "run_status_chunk",
     "run_witness_chunk",
     "scan_status",
-    "scan_status_bitset",
     "scan_witness",
-    "scan_witness_bitset",
     "validate_status_chunk",
     "validate_witness_chunk",
 ]
@@ -93,12 +77,13 @@ class RefineSpec(NamedTuple):
     On the shared-memory plane the pool initializer installs only the
     *graph* (attached CSR views, one per process lifetime); everything
     call-scoped — candidates, filter dominators, kernel knobs, the
-    optional bit matrix — rides in this spec as :class:`~repro.parallel.
-    shm.SegmentRef` handles plus scalars, a few hundred bytes per task.
-    Workers cache the state they build from a spec under ``key`` (the
-    engine derives it from the segment names and kernel knobs), so a
-    warm session repeating a call re-uses the state outright and a new
-    call evicts exactly the previous call's attachments.
+    optional core numbers — rides in this spec as
+    :class:`~repro.parallel.shm.SegmentRef` handles plus scalars, a few
+    hundred bytes per task.  Workers cache the state they build from a
+    spec under ``key`` (the engine derives it from the segment names and
+    kernel knobs), so a warm session repeating a call re-uses the state
+    outright and a new call evicts exactly the previous call's
+    attachments.
     """
 
     epoch: int
@@ -108,7 +93,6 @@ class RefineSpec(NamedTuple):
     seed: int
     candidates: SegmentRef
     dominator: SegmentRef
-    matrix: Optional[SegmentRef]
     #: Parent-computed k-core numbers (block kernel only; else None).
     cores: Optional[SegmentRef] = None
 
@@ -117,10 +101,9 @@ class RefineState:
     """Everything a refine scan needs, built once per worker process.
 
     ``refine`` selects the kernel: ``"bloom"`` states carry a
-    :class:`VertexBloomIndex`, ``"bitset"`` states a
-    :class:`~repro.core.bitset_refine.BitsetScanContext`, ``"block"``
-    states a :class:`~repro.core.block_refine.BlockRefineContext` (the
-    non-bloom modes never build a filter index).
+    :class:`VertexBloomIndex`, ``"block"`` states a
+    :class:`~repro.core.block_refine.BlockRefineContext` (and never
+    build a filter index).
     """
 
     __slots__ = (
@@ -139,7 +122,7 @@ class RefineState:
         candidates: Sequence[int],
         dominator: Sequence[int],
         blooms: Optional[VertexBloomIndex],
-        ctx: Optional[BitsetScanContext] = None,
+        ctx: Optional[BlockRefineContext] = None,
         refine: str = "bloom",
     ):
         self.graph = graph
@@ -162,17 +145,9 @@ def build_state(
     bits: int,
     seed: int,
     refine: str = "bloom",
-    matrix: Optional[CandidateBitMatrix] = None,
     cores: Optional[Sequence[int]] = None,
 ) -> RefineState:
     """A :class:`RefineState` over a live graph (in-process execution)."""
-    if refine == "bitset":
-        ctx = BitsetScanContext(
-            graph, candidates, matrix, instrumented=False
-        )
-        return RefineState(
-            graph, candidates, dominator, None, ctx, refine
-        )
     if refine == "block":
         ctx = BlockRefineContext(graph, candidates, dominator, cores=cores)
         return RefineState(
@@ -190,15 +165,11 @@ def build_payload(
     bits: int,
     seed: int,
     refine: str = "bloom",
-    matrix: Optional[CandidateBitMatrix] = None,
     cores: Optional[Sequence[int]] = None,
 ) -> tuple:
     """The pickle-cheap snapshot shipped to every worker's initializer.
 
-    In bitset mode the matrix rides along as its
-    :meth:`~repro.graph.bitmatrix.CandidateBitMatrix.to_payload` raw
-    bytes; workers rebuild read-only views, never re-pack.  In block
-    mode the parent's k-core numbers ride the same way, so workers
+    In block mode the parent's k-core numbers ride along, so workers
     never re-peel the graph.
     """
     indptr, indices = graph.to_csr()
@@ -210,7 +181,6 @@ def build_payload(
         bits,
         seed,
         refine,
-        matrix.to_payload() if matrix is not None else None,
         array("q", cores) if cores is not None else None,
     )
 
@@ -230,7 +200,7 @@ _CALL: Optional[dict] = None
 def init_worker(payload: tuple) -> None:
     """Pool initializer for either data plane.
 
-    Pickle plane: the classic 9-field payload of :func:`build_payload`
+    Pickle plane: the classic 8-field payload of :func:`build_payload`
     — rebuild graph, candidates and the kernel once per process.  Shm
     plane: ``("shm", {"indptr": ref, "indices": ref})`` — attach the
     CSR segments and build a lazy :class:`~repro.graph.adjacency.
@@ -257,15 +227,9 @@ def init_worker(payload: tuple) -> None:
         bits,
         seed,
         refine,
-        matrix_payload,
         cores,
     ) = payload
     graph = Graph.from_csr(indptr, indices)
-    matrix = (
-        CandidateBitMatrix.from_payload(matrix_payload)
-        if matrix_payload is not None
-        else None
-    )
     _STATE = build_state(
         graph,
         candidates,
@@ -273,7 +237,6 @@ def init_worker(payload: tuple) -> None:
         bits=bits,
         seed=seed,
         refine=refine,
-        matrix=matrix,
         cores=cores,
     )
 
@@ -298,12 +261,6 @@ def _call_state(spec: RefineSpec) -> RefineState:
     candidates = attach_view(spec.candidates)
     dominator = attach_view(spec.dominator)
     names = {spec.candidates.name, spec.dominator.name}
-    matrix = None
-    if spec.matrix is not None:
-        matrix = CandidateBitMatrix.from_buffer(
-            _GRAPH.num_vertices, candidates, attach_view(spec.matrix)
-        )
-        names.add(spec.matrix.name)
     cores = None
     if spec.cores is not None:
         cores = attach_view(spec.cores)
@@ -315,7 +272,6 @@ def _call_state(spec: RefineSpec) -> RefineState:
         bits=spec.bits,
         seed=spec.seed,
         refine=spec.refine,
-        matrix=matrix,
         cores=cores,
     )
     _CALL = {"key": spec.key, "state": state, "names": names}
@@ -457,96 +413,6 @@ def scan_witness(state: RefineState, u: int, stats: SkylineCounters) -> int:
     )
 
 
-def scan_status_bitset(
-    state: RefineState, u: int, stats: SkylineCounters
-) -> bool:
-    """Bitset-kernel status pass: ``True`` iff ``u`` has a 2-hop dominator.
-
-    Same skip predicate as :func:`scan_status` (frozen filter-phase
-    dominations only), with the pair test replaced by the packed
-    AND-NOT and its stamp-cached verdicts.  Counter stream: the ladder
-    counters cover only the candidate members of each visited neighbor
-    list (the kernel never iterates non-candidates); ``bloom_*`` and
-    ``nbr_checks`` stay zero.
-    """
-    ctx = state.ctx
-    dominator = state.dominator
-    deg = ctx.deg
-    cand_groups = ctx.cand_groups
-    seen = ctx.seen
-
-    stats.vertices_examined += 1
-    stamp = ctx.next_stamp()
-    deg_u = deg[u]
-    row_u = ctx.row_int[u]
-    for v in state.graph.neighbors(u):
-        for w, deg_w, comp_w in cand_groups[v]:
-            if w == u:
-                continue
-            if deg_w < deg_u:
-                stats.degree_skips += 1
-                continue
-            if dominator[w] != w:
-                stats.dominated_skips += 1
-                continue
-            stats.pair_tests += 1
-            if seen[w] == stamp:
-                # Cached verdict: a failing w stays failing, a passing
-                # w that didn't settle u (mutual won by u) never will.
-                continue
-            seen[w] = stamp
-            if row_u & comp_w:
-                continue
-            if deg_w > deg_u or u > w:
-                stats.dominations_found += 1
-                return True
-            # Mutual inclusion won by u (u < w): u stays, keep scanning.
-    return False
-
-
-def scan_witness_bitset(
-    state: RefineState, u: int, stats: SkylineCounters
-) -> int:
-    """Bitset-kernel witness pass: the sequential dominator entry for ``u``.
-
-    Same skip predicate as :func:`scan_witness` — both inputs to it
-    (filter dominations and the status-pass flags) are frozen, so the
-    stamp cache remains sound here too.
-    """
-    ctx = state.ctx
-    dominator = state.dominator
-    refine_dominated = state.refine_dominated
-    deg = ctx.deg
-    cand_groups = ctx.cand_groups
-    seen = ctx.seen
-
-    stamp = ctx.next_stamp()
-    deg_u = deg[u]
-    row_u = ctx.row_int[u]
-    for v in state.graph.neighbors(u):
-        for w, deg_w, comp_w in cand_groups[v]:
-            if w == u:
-                continue
-            if deg_w < deg_u:
-                stats.degree_skips += 1
-                continue
-            if dominator[w] != w or (w < u and refine_dominated[w]):
-                stats.dominated_skips += 1
-                continue
-            stats.pair_tests += 1
-            if seen[w] == stamp:
-                continue
-            seen[w] = stamp
-            if row_u & comp_w:
-                continue
-            if deg_w > deg_u or u > w:
-                return w
-    raise RuntimeError(
-        f"refine witness for vertex {u} vanished between passes; "
-        "this indicates a bug in the status pass"
-    )
-
-
 def _ensure_flags(state: RefineState, dominated: Sequence[int]) -> None:
     if state.refine_dominated is None:
         flags = bytearray(state.graph.num_vertices)
@@ -574,9 +440,8 @@ def run_status_chunk(task: tuple, state: Optional[RefineState] = None):
         return block_status_chunk(state.ctx, lo, hi, stats), _chunk_stats(
             stats
         )
-    scan = scan_status_bitset if state.refine == "bitset" else scan_status
     dominated = [
-        u for u in state.candidates[lo:hi] if scan(state, u, stats)
+        u for u in state.candidates[lo:hi] if scan_status(state, u, stats)
     ]
     return dominated, _chunk_stats(stats)
 
@@ -677,6 +542,5 @@ def run_witness_chunk(task: tuple, state: Optional[RefineState] = None):
         pairs = block_witness_chunk(state.ctx, dominated[lo:hi], stats)
         return pairs, _chunk_stats(stats)
     _ensure_flags(state, dominated)
-    scan = scan_witness_bitset if state.refine == "bitset" else scan_witness
-    pairs = [(u, scan(state, u, stats)) for u in dominated[lo:hi]]
+    pairs = [(u, scan_witness(state, u, stats)) for u in dominated[lo:hi]]
     return pairs, _chunk_stats(stats)

@@ -15,7 +15,7 @@ Graph sources are either **registry dataset names**
 :func:`execute_query` is the single dispatch point for the three query
 kinds.  It goes through exactly the public entry points a direct caller
 would use — ``parallel_refine_sky`` (bit-for-bit
-``filter_refine_sky``/``filter_refine_bitset`` by the engine's
+``filter_refine_sky``/``filter_refine_block`` by the engine's
 equivalence guarantee), ``run_greedy`` via the Base*/NeiSky* drivers,
 and ``mc_brb``/``*_topk_mcc`` — so a served response is bit-for-bit the
 direct API result; the integration suite asserts exactly that.
@@ -296,7 +296,7 @@ def execute_query(entry: GraphEntry, kind: str, params: dict) -> dict:
 
     * ``skyline`` — ``skyline``/``dominator``/``candidates`` of the
       engine's :class:`SkylineResult` (identical to
-      ``filter_refine_sky`` / ``filter_refine_bitset`` by the parallel
+      ``filter_refine_sky`` / ``filter_refine_block`` by the parallel
       engine's equivalence guarantee);
     * ``group`` — ``group``/``gains``/``evaluations``/``pool_size`` of
       the Base*/NeiSky* drivers' :class:`GreedyResult` (``gains`` in

@@ -231,8 +231,7 @@ _register(
 
 # -- Large workload tier (million-edge scale) ---------------------------
 # Generated with the vectorized numpy generators, so materialization is
-# seconds, not minutes; loading additionally requires numpy (the
-# standard tier does not).  Excluded from names() by default.
+# seconds, not minutes.  Excluded from names() by default.
 _register(
     DatasetSpec(
         name="kron_large",
@@ -326,8 +325,8 @@ def load(name: str) -> Graph:
 
     Loaders are pure and seeded, and graphs are immutable, so results
     are memoized — repeated loads (CLI listings, test fixtures, bench
-    modules) share one instance per dataset.  When numpy is available
-    the graph comes back on the CSR substrate (:func:`~repro.graph.csr.
-    as_csr`) — identical results, vectorized whole-graph scans.
+    modules) share one instance per dataset.  The graph comes back on
+    the CSR substrate (:func:`~repro.graph.csr.as_csr`) — identical
+    results, vectorized whole-graph scans.
     """
     return as_csr(spec(name).load())

@@ -10,6 +10,7 @@ the vector one and is kept verbatim for that purpose.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.containment.lcjoin import (
@@ -25,15 +26,6 @@ from repro.core.join_sky import lc_join_sky
 from repro.errors import ParameterError
 from repro.graph.generators import barabasi_albert, erdos_renyi
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
-
-needs_numpy = pytest.mark.skipif(
-    np is None, reason="vector join kernel needs numpy"
-)
-
 
 def random_records(rng, nrec=50, universe=30, max_len=9):
     return [
@@ -48,7 +40,6 @@ class TestKernelChoice:
             "scalar"
         )
 
-    @needs_numpy
     def test_large_index_goes_vector(self):
         assert choose_join_kernel(10_000, 1_000) == "vector"
 
@@ -70,7 +61,6 @@ class TestKernelChoice:
         )
 
 
-@needs_numpy
 class TestVectorMatchesScalar:
     def test_random_record_sets(self):
         rng = random.Random(31)
@@ -123,7 +113,6 @@ class TestVectorMatchesScalar:
         assert join.containing_records((1,)) == [0, 1]
 
 
-@needs_numpy
 class TestIntersectVectorPath:
     def test_ndarray_fast_path_matches_galloping(self):
         rng = random.Random(33)
@@ -148,8 +137,6 @@ class TestIntersectVectorPath:
 class TestJoinSkyKernels:
     @pytest.mark.parametrize("kernel", ["scalar", "vector", "auto"])
     def test_skyline_identical_across_kernels(self, kernel):
-        if kernel == "vector" and np is None:
-            pytest.skip("vector kernel needs numpy")
         rng = random.Random(34)
         for _trial in range(6):
             n = rng.randrange(5, 50)

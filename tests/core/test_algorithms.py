@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.api import neighborhood_skyline
+from repro.core.api import ALGORITHMS, neighborhood_skyline
 from repro.core.base_sky import base_sky
 from repro.core.counters import SkylineCounters
 from repro.core.cset import base_cset_sky
@@ -169,6 +169,10 @@ class TestApi:
     def test_unknown_algorithm_rejected(self, karate):
         with pytest.raises(ParameterError, match="unknown skyline"):
             neighborhood_skyline(karate, "quantum")
+        with pytest.raises(ParameterError) as exc:
+            neighborhood_skyline(karate, "filter_refine_bitset")
+        # The message lists the remaining choices.
+        assert str(sorted(ALGORITHMS)) in str(exc.value)
 
     def test_options_forwarded(self, karate):
         result = neighborhood_skyline(

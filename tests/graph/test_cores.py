@@ -4,11 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.graph.adjacency import Graph
-from repro.graph.cores import (
-    HAVE_NUMPY,
-    CoreDecomposition,
-    core_decomposition,
-)
+from repro.graph.cores import CoreDecomposition, core_decomposition
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     complete_graph,
@@ -100,17 +96,27 @@ def test_empty_and_isolated():
     assert dec.degeneracy == 0
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
 @COMMON
 @given(graphs())
 def test_backends_agree_exactly(g):
-    """The numpy batch peel and the pure-Python schedule are identical —
-    same cores, same order, same degeneracy — on list and CSR backends."""
-    from repro.graph.cores import _peel_python
+    """List-backed and CSR-backed graphs peel identically — same cores,
+    same order, same degeneracy."""
+    assert core_decomposition(g) == core_decomposition(
+        CSRGraph.from_graph(g)
+    )
 
-    slow = _peel_python(g)
-    assert core_decomposition(g) == slow
-    assert core_decomposition(CSRGraph.from_graph(g)) == slow
+
+def test_broken_graph_raises():
+    """A graph whose CSR snapshot fails surfaces the error instead of
+    peeling something else."""
+
+    class BrokenGraph(Graph):
+        def to_csr(self):
+            raise RuntimeError("no snapshot")
+
+    g = BrokenGraph([(1,), (0,)], 1)
+    with pytest.raises(RuntimeError, match="no snapshot"):
+        core_decomposition(g)
 
 
 def test_karate_csr_matches_list():

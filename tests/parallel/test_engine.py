@@ -82,36 +82,9 @@ def test_approximate_mode_rejected(karate):
 
 
 def test_unknown_refine_kernel_rejected(karate):
-    with pytest.raises(ParameterError, match="refine kernel"):
-        parallel_refine_sky(karate, refine="murmur")
-
-
-def test_nonpositive_word_budget_rejected(karate):
-    with pytest.raises(ParameterError, match="word_budget"):
-        parallel_refine_sky(karate, refine="bitset", word_budget=-1)
-    with pytest.raises(ParameterError, match="word_budget"):
-        parallel_refine_sky(karate, refine="bitset", word_budget=0)
-
-
-def test_bitset_refine_over_budget_falls_back(karate):
-    counters = SkylineCounters()
-    result = parallel_refine_sky(
-        karate, refine="bitset", word_budget=1, counters=counters
-    )
-    assert counters.extra["refine_path"] == "bloom-fallback"
-    assert "bitset_words_over_budget" in counters.extra
-    assert result.skyline == filter_refine_sky(karate).skyline
-
-
-def test_bitset_refine_records_path(karate):
-    counters = SkylineCounters()
-    result = parallel_refine_sky(
-        karate, refine="bitset", counters=counters
-    )
-    assert counters.extra["refine_path"] == "bitset"
-    seq = filter_refine_sky(karate)
-    assert result.skyline == seq.skyline
-    assert result.dominator == seq.dominator
+    for kernel in ("murmur", "bitset", "auto"):
+        with pytest.raises(ParameterError, match="refine kernel"):
+            parallel_refine_sky(karate, refine=kernel)
 
 
 def test_small_graph_stays_in_process(karate):
@@ -141,19 +114,47 @@ def test_registered_with_api(karate):
     assert result.skyline == filter_refine_sky(karate).skyline
 
 
+#: The scheduling keys every run writes; pooled runs add the data-plane
+#: and ``resilience_*`` keys on top.
+SCHEDULING_KEYS = {
+    "parallel_mode",
+    "parallel_workers",
+    "parallel_chunks",
+    "parallel_rescans",
+}
+
+#: The refine-related ``counters.extra`` keys each kernel writes.
+REFINE_KEYS = {
+    "bloom": {"refine_path"},
+    "block": {"refine_path", "core_pretest_rejects"},
+}
+
+
 def test_pooled_counters_match_in_process():
     g = copying_power_law(300, 2.5, 0.85, seed=3)
-    inproc = SkylineCounters()
-    r1 = parallel_refine_sky(g, workers=1, counters=inproc)
-    pooled = SkylineCounters()
-    r2 = parallel_refine_sky(
-        g, workers=2, small_graph_edges=0, counters=pooled
-    )
-    assert r1.skyline == r2.skyline
-    assert r1.dominator == r2.dominator
-    assert pooled.as_dict() == inproc.as_dict()
-    assert pooled.extra["parallel_mode"] == "pool"
-    assert inproc.extra["parallel_mode"] == "in-process"
+    for refine, refine_keys in REFINE_KEYS.items():
+        inproc = SkylineCounters()
+        r1 = parallel_refine_sky(
+            g, workers=1, refine=refine, counters=inproc
+        )
+        pooled = SkylineCounters()
+        r2 = parallel_refine_sky(
+            g, workers=2, small_graph_edges=0, refine=refine, counters=pooled
+        )
+        assert r1.skyline == r2.skyline
+        assert r1.dominator == r2.dominator
+        assert pooled.as_dict() == inproc.as_dict()
+        assert pooled.extra["parallel_mode"] == "pool"
+        assert inproc.extra["parallel_mode"] == "in-process"
+        assert inproc.extra["refine_path"] == refine
+        assert set(inproc.extra) == SCHEDULING_KEYS | refine_keys
+        pooled_refine_keys = {
+            key
+            for key in pooled.extra
+            if key not in SCHEDULING_KEYS
+            and not key.startswith(("data_plane", "plane_", "resilience_"))
+        }
+        assert pooled_refine_keys == refine_keys
 
 
 # ---------------------------------------------------------------------

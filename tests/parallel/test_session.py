@@ -103,11 +103,11 @@ def test_session_refine_then_greedy_share_one_pool(karate):
 
 @needs_shm
 def test_session_kernel_switch_stays_exact(karate):
-    """bloom → bitset → bloom on one warm pool: workers rotate their
+    """bloom → block → bloom on one warm pool: workers rotate their
     per-call state cache without mixing kernels."""
     seq = filter_refine_sky(karate)
     with EngineSession(karate, workers=2) as session:
-        for refine in ("bloom", "bitset", "bloom"):
+        for refine in ("bloom", "block", "bloom"):
             result = session.refine_sky(
                 small_graph_edges=0, refine=refine
             )

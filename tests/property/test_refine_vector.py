@@ -1,15 +1,14 @@
 """Differential safety net for the block-vectorized refine kernel.
 
 ``filter_refine_block`` must return the *same* skyline, dominator
-witnesses and candidate set as the scalar bitset kernel and the
-sequential bloom baseline (which the rest of the suite pins to
-``naive``) — bit for bit, on hypothesis-generated graphs, on the
-twin-heavy tie-break stressors, on every registered dataset, and
-through the parallel engine on both data planes.  The counter relations
-the kernel claims are pinned too: same vertices examined, same
-dominations found, bulk skip tallies never undercounting, zero bloom
-machinery, and the core-number pretest's rejects surfaced in
-``counters.extra``.
+witnesses and candidate set as the sequential bloom baseline (which
+the rest of the suite pins to ``naive``) — bit for bit, on
+hypothesis-generated graphs, on the twin-heavy tie-break stressors, on
+every registered dataset, and through the parallel engine on both data
+planes.  The counter relations the kernel claims are pinned too: same
+vertices examined, same dominations found, bulk skip tallies never
+undercounting, zero bloom machinery, and the core-number pretest's
+rejects surfaced in ``counters.extra``.
 
 The large workload tier is covered by the same differential run in
 ``benchmarks/bench_refine_vector.py`` (which must assert bit-for-bit
@@ -25,12 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import neighborhood_skyline
-from repro.core.bitset_refine import filter_refine_bitset_sky
-from repro.core.block_refine import (
-    HAVE_NUMPY,
-    choose_refine_kernel,
-    filter_refine_block_sky,
-)
+from repro.core.block_refine import filter_refine_block_sky
 from repro.core.counters import SkylineCounters
 from repro.core.filter_refine import filter_refine_sky
 from repro.core.naive import naive_skyline
@@ -80,12 +74,10 @@ def assert_counter_relations(c_blk: SkylineCounters, c_ref: SkylineCounters):
 
 @COMMON
 @given(graphs())
-def test_block_matches_bloom_bitset_naive(g):
+def test_block_matches_bloom_naive(g):
     seq = filter_refine_sky(g)
-    bit = filter_refine_bitset_sky(g)
     blk = filter_refine_block_sky(g)
     assert_same_result(blk, seq)
-    assert_same_result(blk, bit)
     assert blk.skyline == naive_skyline(g).skyline
 
 
@@ -96,8 +88,7 @@ def test_block_counter_relations(g):
     filter_refine_sky(g, counters=c_seq)
     filter_refine_block_sky(g, counters=c_blk)
     assert_counter_relations(c_blk, c_seq)
-    if HAVE_NUMPY:
-        assert c_blk.extra["refine_path"] == "block"
+    assert c_blk.extra["refine_path"] == "block"
 
 
 @COMMON
@@ -142,9 +133,8 @@ def test_parallel_block_in_process(g, chunk_size):
         g, workers=1, chunk_size=chunk_size, refine="block", counters=c
     )
     assert_same_result(par, filter_refine_sky(g))
-    if HAVE_NUMPY:
-        assert c.extra["refine_path"] == "block"
-        assert c.extra.get("core_pretest_rejects", -1) >= 0
+    assert c.extra["refine_path"] == "block"
+    assert c.extra.get("core_pretest_rejects", -1) >= 0
 
 
 @POOLED
@@ -161,49 +151,18 @@ def test_parallel_block_pooled_both_planes(g, plane):
     assert_same_result(par, filter_refine_sky(g))
 
 
-@POOLED
-@given(graphs())
-def test_parallel_auto_kernel_matches(g):
-    c = SkylineCounters()
-    par = parallel_refine_sky(
-        g,
-        workers=2,
-        small_graph_edges=0,
-        refine="auto",
-        counters=c,
-    )
-    assert_same_result(par, filter_refine_sky(g))
-    assert c.extra["refine_requested"] == "auto"
-    assert c.extra["refine_path"] in ("bloom", "bitset", "block")
-
-
-def test_choose_refine_kernel_cutover():
-    if not HAVE_NUMPY:
-        assert choose_refine_kernel(10, 100, word_budget=1 << 20) == "bloom"
-        return
-    # Small candidate sets within budget stay scalar bitset.
-    assert choose_refine_kernel(18, 34, word_budget=1 << 20) == "bitset"
-    # Large candidate sets go block regardless of the matrix budget.
-    assert choose_refine_kernel(10_000, 50_000, word_budget=1 << 24) == "block"
-    # Small but over-budget sets go block too (no matrix needed there).
-    assert choose_refine_kernel(100, 1_000_000, word_budget=1) == "block"
-
-
 @pytest.mark.parametrize("name", names())
 def test_every_standard_dataset_three_way(name):
+    """Sequential bloom ≡ block ≡ the engine's in-process block run."""
     g = load(name)
-    c_seq, c_bit, c_blk = (
-        SkylineCounters(),
-        SkylineCounters(),
-        SkylineCounters(),
-    )
+    c_seq, c_blk = SkylineCounters(), SkylineCounters()
     seq = filter_refine_sky(g, counters=c_seq)
-    bit = filter_refine_bitset_sky(g, counters=c_bit)
     blk = neighborhood_skyline(
         g, algorithm="filter_refine_block", counters=c_blk
     )
+    par = parallel_refine_sky(g, workers=1, refine="block")
     assert_same_result(blk, seq)
-    assert_same_result(blk, bit)
+    assert_same_result(par, seq)
     assert_counter_relations(c_blk, c_seq)
 
 
@@ -221,7 +180,6 @@ def test_every_large_dataset_three_way(name):
     g = load(name)
     seq = filter_refine_sky(g)
     blk = filter_refine_block_sky(g)
-    bit = filter_refine_bitset_sky(g)
+    par = parallel_refine_sky(g, workers=1, refine="block")
     assert_same_result(blk, seq)
-    assert bit.skyline == seq.skyline
-    assert bit.dominator == seq.dominator
+    assert_same_result(par, seq)

@@ -6,7 +6,7 @@ contracts under test:
 
 * served ``skyline`` / ``group`` / ``clique`` responses are
   **bit-for-bit identical** to the corresponding direct API calls
-  (``filter_refine_sky`` ≡ ``filter_refine_bitset`` ≡ the parallel
+  (``filter_refine_sky`` ≡ ``filter_refine_block`` ≡ the parallel
   engine; the Base*/NeiSky* greedy drivers; the clique stack);
 * concurrent clients across both graphs all succeed and agree with the
   direct results;
@@ -62,8 +62,8 @@ def test_served_skyline_equals_direct_calls(server, name):
     doc = _query(server, {"graph": name, "kind": "skyline"})
     result = doc["result"]
     sequential = filter_refine_sky(graph)
-    bitset = neighborhood_skyline(graph, algorithm="filter_refine_bitset")
-    assert tuple(result["skyline"]) == sequential.skyline == bitset.skyline
+    block = neighborhood_skyline(graph, algorithm="filter_refine_block")
+    assert tuple(result["skyline"]) == sequential.skyline == block.skyline
     assert tuple(result["dominator"]) == sequential.dominator
     assert result["candidate_size"] == sequential.candidate_size
     assert result["size"] == sequential.size

@@ -153,9 +153,14 @@ def test_skyline_workers_with_incompatible_algorithm(capsys):
 
 
 def test_unknown_algorithm_is_parameter_error(capsys):
-    code = main(["skyline", "--dataset", "karate", "--algorithm", "bogus"])
-    assert code == 2
-    assert "unknown skyline algorithm" in capsys.readouterr().err
+    for name in ("bogus", "filter_refine_bitset"):
+        code = main(["skyline", "--dataset", "karate", "--algorithm", name])
+        assert code == 2
+        assert "unknown skyline algorithm" in capsys.readouterr().err
+    # Removed flags are usage errors (argparse exits with status 2).
+    with pytest.raises(SystemExit) as exc:
+        main(["skyline", "--dataset", "karate", "--word-budget", "8"])
+    assert exc.value.code == 2
 
 
 def test_malformed_edge_list_names_file_and_line(tmp_path, capsys):
