@@ -4,7 +4,7 @@ For every registry dataset of Table I:
 
 * time sequential FilterRefineSky (bloom refine) and the parallel
   engine at 2 and 4 workers (pool forced on, so the numbers include
-  snapshot pickling, pool spin-up and result merging);
+  CSR segment publish, pool spin-up and result merging);
 * subtract the shared filter-phase cost and report refine-phase
   speedups of the workers vs sequential.
 
@@ -110,7 +110,7 @@ def test_parallel_speedup(figure_report, bench_json, name):
         f"host exposes {default_worker_count()} usable CPU(s) "
         f"(os.cpu_count()={os.cpu_count()}); speedup is capped by that "
         "ceiling — single-core hosts measure pure pool overhead. Parallel "
-        "times include CSR snapshot pickling, pool spin-up and per-worker "
+        "times include CSR segment publish, pool spin-up and per-worker "
         "bloom-index rebuilds. Every parallel result was asserted "
         "bit-for-bit equal to the sequential output before timing was "
         "recorded."
@@ -118,13 +118,13 @@ def test_parallel_speedup(figure_report, bench_json, name):
 
 
 # ----------------------------------------------------------------------
-# Data plane: payload ship + pool spin-up, pickle vs shm, cold vs warm.
+# Data plane: segment publish + pool spin-up, cold one-shot vs warm session.
 # ----------------------------------------------------------------------
 
 DATA_PLANE_INSTANCE = "wikitalk_sim"
 DATA_PLANE_WORKERS = 4
-#: Acceptance bar: a warm shm-session call's per-call setup must be at
-#: least this many times cheaper than a cold pickle call's.
+#: Acceptance bar: a warm session call's per-call setup must be at
+#: least this many times cheaper than a cold one-shot call's.
 MIN_WARM_SETUP_SPEEDUP = 5.0
 
 
@@ -132,16 +132,16 @@ MIN_WARM_SETUP_SPEEDUP = 5.0
     not shm_available(), reason="no usable shared memory on this host"
 )
 def test_data_plane_overhead(figure_report, bench_json):
-    """Setup cost of every (plane, pool temperature) serving mode.
+    """Setup cost of a cold one-shot call vs a warm session call.
 
-    A *cold* call pays pool spin-up plus payload shipping (full CSR
-    pickle, or segment publish for shm) on every invocation; a *warm*
-    session call reuses the pool and the published graph segments, so
-    its only per-call plane work is publishing the small call-scoped
-    blobs (candidates, dominators, dominated flags).  Setup
-    overhead is separated from compute by subtracting the best warm
-    wall time — the steady-state floor where the pool and graph bytes
-    already sit in place.
+    A *cold* one-shot call runs on a throwaway session: it pays pool
+    spin-up plus publishing the graph's CSR segments on every
+    invocation.  A *warm* session call reuses the pool and the
+    published graph segments, so its only per-call plane work is
+    publishing the small call-scoped blobs (candidates, dominators,
+    dominated flags).  Setup overhead is separated from compute by
+    subtracting the best warm wall time — the steady-state floor where
+    the pool and graph bytes already sit in place.
     """
     graph = dataset(DATA_PLANE_INSTANCE)
     workers = DATA_PLANE_WORKERS
@@ -155,12 +155,11 @@ def test_data_plane_overhead(figure_report, bench_json):
         assert result.dominator == seq.dominator
         return result
 
-    t_cold_pickle, _ = _best_of(3, lambda: pooled(data_plane="pickle"))
-    t_cold_shm, _ = _best_of(3, lambda: pooled(data_plane="shm"))
+    t_cold, _ = _best_of(3, pooled)
 
     warm_walls = []
     warm_publish = []
-    with EngineSession(graph, workers=workers, data_plane="shm") as session:
+    with EngineSession(graph, workers=workers) as session:
         pooled(session=session)  # cold first call builds pool + segments
         for _ in range(4):
             counters = SkylineCounters()
@@ -169,28 +168,26 @@ def test_data_plane_overhead(figure_report, bench_json):
             warm_walls.append(time.perf_counter() - start)
             assert counters.extra["parallel_session"] == "warm"
             warm_publish.append(counters.extra["plane_publish_s"])
-    t_warm_shm = min(warm_walls)
+    t_warm = min(warm_walls)
 
     # Per-call setup: everything above the warm steady-state floor.  A
     # warm call's own setup is its segment-publish slice, measured
     # directly by the engine rather than inferred by subtraction.
-    setup_cold_pickle = max(t_cold_pickle - t_warm_shm, 1e-9)
-    setup_cold_shm = max(t_cold_shm - t_warm_shm, 1e-9)
-    setup_warm_shm = max(min(warm_publish), 1e-9)
-    speedup = setup_cold_pickle / setup_warm_shm
+    setup_cold = max(t_cold - t_warm, 1e-9)
+    setup_warm = max(min(warm_publish), 1e-9)
+    speedup = setup_cold / setup_warm
 
     rows = [
-        ("ColdPickle", t_cold_pickle, setup_cold_pickle),
-        ("ColdShm", t_cold_shm, setup_cold_shm),
-        ("WarmShmSession", t_warm_shm, setup_warm_shm),
+        ("ColdOneShot", t_cold, setup_cold),
+        ("WarmSession", t_warm, setup_warm),
     ]
     for mode, wall, setup in rows:
         extra = {
             "workers": workers,
             "setup_overhead_s": setup,
         }
-        if mode == "WarmShmSession":
-            extra["setup_speedup_vs_cold_pickle"] = speedup
+        if mode == "WarmSession":
+            extra["setup_speedup_vs_cold"] = speedup
         bench_json(
             bench_entry(
                 bench="data_plane",
@@ -203,24 +200,25 @@ def test_data_plane_overhead(figure_report, bench_json):
 
     report = figure_report(
         "Data plane overhead",
-        "Per-call wall and setup overhead (s) by data plane and pool "
-        "temperature",
-        ("mode", "wall", "setup overhead", "setup vs cold pickle"),
+        "Per-call wall and setup overhead (s), cold one-shot vs warm "
+        "session",
+        ("mode", "wall", "setup overhead", "setup vs cold"),
     )
     for mode, wall, setup in rows:
-        report.add_row(mode, wall, setup, setup_cold_pickle / setup)
+        report.add_row(mode, wall, setup, setup_cold / setup)
     report.add_note(
-        f"{DATA_PLANE_INSTANCE}, {workers} workers.  Cold calls rebuild "
-        "the pool and re-ship the graph every time; the warm session row "
-        "reuses one pool plus published CSR/candidate segments, so its "
-        "setup is only the per-call blob publish (measured by the engine "
-        "as plane_publish_s).  Every result was asserted bit-for-bit "
-        "equal to the sequential engine before timing was recorded."
+        f"{DATA_PLANE_INSTANCE}, {workers} workers.  A cold one-shot "
+        "call forks a pool and publishes the graph's CSR segments every "
+        "time; the warm session row reuses one pool plus the published "
+        "CSR/candidate segments, so its setup is only the per-call blob "
+        "publish (measured by the engine as plane_publish_s).  Every "
+        "result was asserted bit-for-bit equal to the sequential engine "
+        "before timing was recorded."
     )
 
     assert speedup >= MIN_WARM_SETUP_SPEEDUP, (
-        f"warm shm session setup ({setup_warm_shm:.6f}s) is only "
-        f"{speedup:.1f}x cheaper than cold pickle "
-        f"({setup_cold_pickle:.6f}s); acceptance floor is "
+        f"warm session setup ({setup_warm:.6f}s) is only "
+        f"{speedup:.1f}x cheaper than a cold one-shot call "
+        f"({setup_cold:.6f}s); acceptance floor is "
         f"{MIN_WARM_SETUP_SPEEDUP}x"
     )

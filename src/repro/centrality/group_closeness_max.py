@@ -58,7 +58,6 @@ def base_gc(
     strategy: str = "eager",
     workers: int = 1,
     timeout: Optional[float] = None,
-    data_plane: str = "auto",
     session=None,
     gain_batch="auto",
 ) -> GreedyResult:
@@ -66,8 +65,8 @@ def base_gc(
 
     The eager strategy performs ``k(2n − k + 1)/2`` marginal-gain
     evaluations; ``strategy="lazy"`` returns the identical result with
-    (typically far) fewer.  ``data_plane`` / ``session`` configure the
-    lazy round-0 fan-out (see :func:`~repro.centrality.lazy_greedy.
+    (typically far) fewer.  ``session`` runs the lazy round-0 fan-out
+    on a warm pool (see :func:`~repro.centrality.lazy_greedy.
     lazy_greedy_maximize`).
     """
     return run_greedy(
@@ -77,7 +76,6 @@ def base_gc(
         strategy=strategy,
         workers=workers,
         timeout=timeout,
-        data_plane=data_plane,
         session=session,
         gain_batch=gain_batch,
     )
@@ -91,7 +89,6 @@ def neisky_gc(
     strategy: str = "eager",
     workers: int = 1,
     timeout: Optional[float] = None,
-    data_plane: str = "auto",
     session=None,
     gain_batch="auto",
 ) -> GreedyResult:
@@ -112,7 +109,6 @@ def neisky_gc(
         strategy=strategy,
         workers=workers,
         timeout=timeout,
-        data_plane=data_plane,
         session=session,
         gain_batch=gain_batch,
     )

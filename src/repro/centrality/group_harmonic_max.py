@@ -52,7 +52,6 @@ def base_gh(
     strategy: str = "eager",
     workers: int = 1,
     timeout: Optional[float] = None,
-    data_plane: str = "auto",
     session=None,
     gain_batch="auto",
 ) -> GreedyResult:
@@ -64,7 +63,6 @@ def base_gh(
         strategy=strategy,
         workers=workers,
         timeout=timeout,
-        data_plane=data_plane,
         session=session,
         gain_batch=gain_batch,
     )
@@ -78,7 +76,6 @@ def neisky_gh(
     strategy: str = "eager",
     workers: int = 1,
     timeout: Optional[float] = None,
-    data_plane: str = "auto",
     session=None,
     gain_batch="auto",
 ) -> GreedyResult:
@@ -93,7 +90,6 @@ def neisky_gh(
         strategy=strategy,
         workers=workers,
         timeout=timeout,
-        data_plane=data_plane,
         session=session,
         gain_batch=gain_batch,
     )

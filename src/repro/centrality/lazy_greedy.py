@@ -24,10 +24,11 @@ optimizations:
 3. **Parallel round 0.**  With an empty group every candidate costs a
    full BFS, which is the bulk of a run's work and embarrassingly
    parallel; ``workers > 1`` fans the first round over a process pool in
-   chunks (one CSR snapshot shipped per worker, gains returned as flat
-   arrays), then rounds ``1..k`` run lazily in-process.  Workers run the
-   same kernels on the same snapshot, so the gains — and therefore the
-   result — are bitwise independent of worker count and chunking.
+   chunks (workers attach one shared-memory CSR snapshot, gains return
+   as flat arrays), then rounds ``1..k`` run lazily in-process.  Workers
+   run the same kernels on the same snapshot, so the gains — and
+   therefore the result — are bitwise independent of worker count and
+   chunking.
 
 4. **Batched lanes** (``gain_batch``).  Evaluations run ``B`` sources
    per vectorized kernel pass (:meth:`~repro.paths.csr.CSRTraversal.
@@ -67,6 +68,7 @@ from repro.centrality.greedy import GainObjective, GreedyResult, greedy_maximize
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 from repro.parallel.engine import SMALL_GRAPH_EDGES
+from repro.parallel.supervisor import DEFAULT_MAX_RETRIES
 from repro.paths.csr import (
     CSRTraversal,
     make_batch_evaluator,
@@ -87,7 +89,6 @@ def _pooled_round0(
     max_retries: int,
     fault_plan,
     extra: Optional[dict],
-    data_plane: str = "pickle",
     session=None,
     batch: int = 1,
 ) -> list[float]:
@@ -96,96 +97,65 @@ def _pooled_round0(
     Runs under the :class:`~repro.parallel.supervisor.PoolSupervisor`:
     crashed/hung/corrupt workers are retried and, past the retry
     budget, their chunks are recomputed sequentially in-process on a
-    state rebuilt from the *same* snapshot the workers got — the gains
-    are bitwise identical either way, so recovery never changes the
-    group.  On the pickle plane the snapshot ships through the pool
-    initializer; on the shm plane workers attach published CSR/pool
-    segments and each task carries a
+    state built from the same graph — the gains are bitwise identical
+    either way, so recovery never changes the group.  Workers attach
+    the published CSR and pool segments, and each task carries a
     :class:`~repro.parallel.greedy_worker.GreedySpec`.  A ``session``
-    supplies a warm pool and cached segments instead of per-call ones.
-    ``batch`` is the gain-batch lane count workers use inside each
-    chunk — gains are bitwise identical for any value, so it is purely
-    a worker-side execution knob.
+    supplies a warm pool and cached segments; without one the call runs
+    on a throwaway session.  ``batch`` is the gain-batch lane count
+    workers use inside each chunk — gains are bitwise identical for any
+    value, so it is purely a worker-side execution knob.
 
     ``extra`` (a ``counters.extra`` dict, or ``None``) receives this
-    call's recovery-event deltas and data-plane facts.
+    call's recovery-event deltas, publish time and (with a caller's
+    session) the cold/warm label.
     """
     import time as _time
+    from array import array
     from hashlib import blake2b
     from pickle import dumps as _dumps
 
     from repro.parallel.chunks import chunk_ranges, default_chunk_size
     from repro.parallel.greedy_worker import (
         GreedySpec,
-        build_greedy_payload,
         build_greedy_state,
-        init_greedy_worker,
-        pool_context,
+        gain_chunk,
         run_gain_chunk,
         validate_gain_chunk,
     )
-    from repro.parallel.supervisor import PoolSupervisor, SupervisorConfig
+    from repro.parallel.session import session_for_call
 
     size = chunk_size or default_chunk_size(len(scope), workers)
     tasks = chunk_ranges(len(scope), size)
     session_label = None
-    plane_publish_s = None
 
     _fb: list = []
 
     def _fallback_state():
         if not _fb:
-            _fb.append(
-                build_greedy_state(
-                    build_greedy_payload(graph, objective, scope, batch)
-                )
-            )
+            _fb.append(build_greedy_state(graph, objective, scope, batch))
         return _fb[0]
 
-    if data_plane == "shm":
-        from array import array
-
-        from repro.parallel.shm import ShmDataPlane, buffer_typecode
-
-        owns_plane = session is None
+    with session_for_call(
+        session,
+        graph,
+        workers=workers,
+        timeout=timeout,
+        max_retries=max_retries,
+        fault_plan=fault_plan,
+    ) as pool_session:
         publish_t0 = _time.perf_counter()
-        if owns_plane:
-            plane = ShmDataPlane()
-            indptr, indices = graph.to_csr()
-            graph_refs = {
-                "indptr": plane.publish(
-                    indptr, buffer_typecode(indptr)
-                ),
-                "indices": plane.publish(
-                    indices, buffer_typecode(indices)
-                ),
-            }
-            supervisor = PoolSupervisor(
-                workers=workers,
-                initializer=init_greedy_worker,
-                initargs=(("shm", graph_refs),),
-                config=SupervisorConfig(
-                    timeout=timeout, max_retries=max_retries
-                ),
-                fault_plan=fault_plan,
-                mp_context=pool_context(),
-            )
-            pool_ref = plane.publish(array("q", scope), "q")
-            epoch = 1
-        else:
-            plane = session.plane
-            supervisor = session.supervisor()
+        supervisor = pool_session.supervisor()
+        if session is not None:
             session_label = session.note_pooled_call()
-            pool_ref = session.cached_segment(
-                "gpool", array("q", scope), "q"
-            )
-            epoch = session.next_epoch()
+        pool_ref = pool_session.cached_segment(
+            "gpool", array("q", scope), "q"
+        )
         # The key must distinguish objectives as well as scopes; the
         # bundled objectives are tiny scalar-holders, so their pickle
         # bytes are a stable identity.
         obj_tag = blake2b(_dumps(objective), digest_size=8).hexdigest()
         spec = GreedySpec(
-            epoch=epoch,
             key=(pool_ref.name, obj_tag, batch),
             objective=objective,
             pool=pool_ref,
@@ -193,55 +163,24 @@ def _pooled_round0(
         )
         plane_publish_s = _time.perf_counter() - publish_t0
         events_before = dict(supervisor.events)
-        try:
-            parts = supervisor.run(
-                run_gain_chunk,
-                [(spec, lo, hi) for lo, hi in tasks],
-                fallback=lambda task: run_gain_chunk(
-                    task, _fallback_state()
-                ),
-                validate=validate_gain_chunk,
-            )
-        finally:
-            if owns_plane:
-                supervisor.shutdown()
-                plane.close()
+        parts = supervisor.run(
+            run_gain_chunk,
+            [(spec, lo, hi) for lo, hi in tasks],
+            fallback=lambda task: gain_chunk(
+                _fallback_state(), task[1], task[2]
+            ),
+            validate=validate_gain_chunk,
+        )
         events = {
             key: value - events_before.get(key, 0)
             for key, value in supervisor.events.items()
         }
-    else:
-        if session is not None:
-            session_label = "cold"  # pickle-plane sessions never warm
-        payload = build_greedy_payload(graph, objective, scope, batch)
-        supervisor = PoolSupervisor(
-            workers=workers,
-            initializer=init_greedy_worker,
-            initargs=(payload,),
-            config=SupervisorConfig(
-                timeout=timeout, max_retries=max_retries
-            ),
-            fault_plan=fault_plan,
-            mp_context=pool_context(),
-        )
-        with supervisor:
-            parts = supervisor.run(
-                run_gain_chunk,
-                tasks,
-                fallback=lambda task: run_gain_chunk(
-                    task, _fallback_state()
-                ),
-                validate=validate_gain_chunk,
-            )
-        events = supervisor.events
     if extra is not None:
         for key, value in events.items():
             extra[key] = extra.get(key, 0) + value
-        extra["data_plane"] = data_plane
         if session_label is not None:
             extra["parallel_session"] = session_label
-        if plane_publish_s is not None:
-            extra["plane_publish_s"] = plane_publish_s
+        extra["plane_publish_s"] = plane_publish_s
     gains: list[float] = []
     for part in parts:
         gains.extend(part)
@@ -258,10 +197,9 @@ def lazy_greedy_maximize(
     chunk_size: Optional[int] = None,
     small_graph_edges: int = SMALL_GRAPH_EDGES,
     timeout: Optional[float] = None,
-    max_retries: int = 2,
+    max_retries: int = DEFAULT_MAX_RETRIES,
     fault_plan=None,
     counters=None,
-    data_plane: str = "auto",
     session=None,
     gain_batch="auto",
 ) -> GreedyResult:
@@ -271,7 +209,8 @@ def lazy_greedy_maximize(
 
     workers:
         Worker processes for the round-0 fan-out; ``1`` (the default)
-        stays in-process.  Any value yields the identical result.
+        stays in-process, as does any count on a host without usable
+        shared memory.  Any value yields the identical result.
     chunk_size:
         Candidates per round-0 task; ``None`` targets a few chunks per
         worker.  Purely a scheduling knob.
@@ -285,13 +224,10 @@ def lazy_greedy_maximize(
     counters:
         Optional :class:`~repro.core.counters.SkylineCounters`; a
         pooled round 0 records its recovery events under
-        ``counters.extra["resilience_*"]`` and data-plane facts under
-        ``counters.extra["data_plane"]`` etc.
-    data_plane:
-        How the CSR snapshot and candidate pool reach round-0 workers
-        — ``"pickle"``, ``"shm"`` or ``"auto"``, exactly as in
-        :func:`~repro.parallel.engine.parallel_refine_sky`.  Gains are
-        bitwise identical on either plane.
+        ``counters.extra["resilience_*"]`` and its segment publish time
+        under ``counters.extra["plane_publish_s"]``.  With
+        ``workers > 1``, ``counters.extra["parallel_mode"]`` says
+        whether round 0 ran on the pool (``"pool"``) or in-process.
     session:
         A warm :class:`~repro.parallel.session.EngineSession` for this
         graph; the round-0 fan-out reuses its pool and published
@@ -311,56 +247,20 @@ def lazy_greedy_maximize(
         ``lanes_short_circuited``).
     """
     from repro.parallel.params import validate_pool_params
-    from repro.parallel.shm import resolve_data_plane
+    from repro.parallel.shm import shm_available
 
     if k < 0:
         raise ParameterError(f"group size k must be >= 0, got {k}")
     if session is not None:
-        session.check_open()
-        if session.graph is not graph:
-            raise ParameterError(
-                "this EngineSession was created for a different graph; "
-                "sessions pin one published graph snapshot"
-            )
-        if workers == 1:
-            workers = session.workers
-        elif workers != session.workers:
-            raise ParameterError(
-                f"workers={workers} conflicts with the session's "
-                f"{session.workers}; the pool size is fixed at session "
-                "construction"
-            )
-        if fault_plan is not None:
-            raise ParameterError(
-                "fault_plan is fixed at session construction; pass it "
-                "to EngineSession instead"
-            )
-        fault_plan = session.fault_plan
-        if timeout is not None and timeout != session.timeout:
-            raise ParameterError(
-                f"timeout={timeout} conflicts with the session's "
-                f"{session.timeout}; the supervisor config is fixed at "
-                "session construction"
-            )
-        timeout = session.timeout
-        if max_retries not in (session.max_retries, 2):
-            raise ParameterError(
-                f"max_retries={max_retries} conflicts with the "
-                f"session's {session.max_retries}"
-            )
-        max_retries = session.max_retries
-        if chunk_size is None:
-            chunk_size = session.chunk_size
-        if data_plane != "auto":
-            resolved, _ = resolve_data_plane(data_plane)
-            if resolved != session.data_plane:
-                raise ParameterError(
-                    f"data_plane={data_plane!r} conflicts with the "
-                    f"session's {session.data_plane!r}"
-                )
-        effective_plane = session.data_plane
-    else:
-        effective_plane, _ = resolve_data_plane(data_plane)
+        workers, chunk_size = session.bind_call(
+            graph,
+            workers=workers,
+            chunk_size=chunk_size,
+            timeout=timeout,
+            max_retries=max_retries,
+            fault_plan=fault_plan,
+            unset_workers=1,
+        )
     validate_pool_params(
         workers=workers,
         chunk_size=chunk_size,
@@ -399,6 +299,7 @@ def lazy_greedy_maximize(
     batch_rounds = 0
     lanes_evaluated = 0
     lanes_short_circuited = 0
+    pooled = False
     #: CELF heap of (-cached_gain, vertex, round_tag); each not-yet-
     #: chosen candidate appears exactly once.  A tag older than the
     #: current round marks the cached gain as a stale upper bound.
@@ -421,8 +322,10 @@ def lazy_greedy_maximize(
                 and workers > 1
                 and len(scope) > 1
                 and graph.num_edges >= small_graph_edges
+                and shm_available()
             )
             if use_pool:
+                pooled = True
                 gain_vec = _pooled_round0(
                     graph,
                     objective,
@@ -433,7 +336,6 @@ def lazy_greedy_maximize(
                     max_retries,
                     fault_plan,
                     None if counters is None else counters.extra,
-                    data_plane=effective_plane,
                     session=session,
                     batch=batch,
                 )
@@ -562,6 +464,10 @@ def lazy_greedy_maximize(
         extra["lanes_short_circuited"] = (
             extra.get("lanes_short_circuited", 0) + lanes_short_circuited
         )
+        if workers > 1:
+            # Why a requested pool did not run shows here: small graph,
+            # tiny scope, or no usable shared memory.
+            extra["parallel_mode"] = "pool" if pooled else "in-process"
     return GreedyResult(
         group=tuple(group),
         gains=tuple(gains),
@@ -584,10 +490,9 @@ def run_greedy(
     chunk_size: Optional[int] = None,
     small_graph_edges: int = SMALL_GRAPH_EDGES,
     timeout: Optional[float] = None,
-    max_retries: int = 2,
+    max_retries: int = DEFAULT_MAX_RETRIES,
     fault_plan=None,
     counters=None,
-    data_plane: str = "auto",
     session=None,
     gain_batch="auto",
 ) -> GreedyResult:
@@ -597,9 +502,9 @@ def run_greedy(
     CELF engine (identical output).  ``workers`` applies only to the
     lazy strategy's round-0 fan-out — combining it with eager is
     rejected rather than silently ignored — and ``timeout`` /
-    ``max_retries`` / ``fault_plan`` / ``counters`` / ``data_plane`` /
-    ``session`` configure that fan-out's supervisor and data plane
-    (see :func:`lazy_greedy_maximize`).  ``gain_batch`` sets the
+    ``max_retries`` / ``fault_plan`` / ``counters`` / ``session``
+    configure that fan-out's supervisor (see
+    :func:`lazy_greedy_maximize`).  ``gain_batch`` sets the
     batched-kernel lane count for either strategy; every value yields
     the identical result.
     """
@@ -634,7 +539,6 @@ def run_greedy(
         max_retries=max_retries,
         fault_plan=fault_plan,
         counters=counters,
-        data_plane=data_plane,
         session=session,
         gain_batch=gain_batch,
     )

@@ -88,18 +88,6 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
             "budget, recomputed in-process (default: supervisor's)"
         ),
     )
-    parser.add_argument(
-        "--data-plane",
-        default="auto",
-        choices=("auto", "shm", "pickle"),
-        help=(
-            "how graph data reaches pooled workers: shm publishes "
-            "shared-memory segments workers attach zero-copy, pickle "
-            "ships a payload per process; auto (default) prefers shm "
-            "and falls back to pickle when shared memory is "
-            "unavailable — identical results either way"
-        ),
-    )
 
 
 def _validated_workers(args: argparse.Namespace) -> int:
@@ -143,12 +131,7 @@ def _parallel_skyline(
             "--workers accelerates the skyline computation; it cannot be "
             "combined with --no-skyline"
         )
-    return parallel_refine_sky(
-        graph,
-        workers=workers,
-        timeout=args.timeout,
-        data_plane=getattr(args, "data_plane", "auto"),
-    )
+    return parallel_refine_sky(graph, workers=workers, timeout=args.timeout)
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
@@ -198,10 +181,8 @@ def _skyline_dispatch(
     algorithm: str,
     workers: int,
     timeout: Optional[float],
-    data_plane: str = "auto",
 ) -> tuple[str, dict]:
-    """Resolve ``--workers``/``--timeout``/``--data-plane`` into
-    (algorithm, options).
+    """Resolve ``--workers``/``--timeout`` into (algorithm, options).
 
     Shared by ``skyline`` and ``sweep``: ``workers > 1`` reroutes the
     filter_refine family through the supervised parallel engine.
@@ -209,7 +190,6 @@ def _skyline_dispatch(
     options: dict = {}
     if algorithm == "filter_refine_parallel":
         options["workers"] = workers
-        options["data_plane"] = data_plane
         if timeout is not None:
             options["timeout"] = timeout
     elif workers != 1:
@@ -223,7 +203,6 @@ def _skyline_dispatch(
             )
         algorithm = "filter_refine_parallel"
         options["workers"] = workers
-        options["data_plane"] = data_plane
         if timeout is not None:
             options["timeout"] = timeout
     return algorithm, options
@@ -234,7 +213,7 @@ def _cmd_skyline(args: argparse.Namespace) -> int:
     counters = SkylineCounters() if args.stats else None
     workers = _validated_workers(args)
     algorithm, options = _skyline_dispatch(
-        args.algorithm, workers, args.timeout, args.data_plane
+        args.algorithm, workers, args.timeout
     )
     start = time.perf_counter()
     result = neighborhood_skyline(
@@ -286,10 +265,7 @@ def _cmd_group(args: argparse.Namespace) -> int:
         from repro.parallel import EngineSession
 
         session = EngineSession(
-            graph,
-            workers=workers,
-            timeout=args.timeout,
-            data_plane=args.data_plane,
+            graph, workers=workers, timeout=args.timeout
         )
     try:
         if session is not None and not args.no_skyline:
@@ -389,7 +365,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             for algorithm in algorithms:
                 run_algorithm, options = _skyline_dispatch(
-                    algorithm, workers, args.timeout, args.data_plane
+                    algorithm, workers, args.timeout
                 )
                 if run_algorithm == "filter_refine_parallel":
                     if session is None:
@@ -399,7 +375,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                             graph,
                             workers=options["workers"],
                             timeout=args.timeout,
-                            data_plane=args.data_plane,
                         )
                     options["session"] = session
                 for trial in range(args.trials):
@@ -475,11 +450,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # A typo'd --chaos-kinds/--chaos-rate is a bad flag, not a
             # crash: surface it as the conventional `error: ...` exit.
             raise ParameterError(str(exc)) from exc
-    registry = GraphRegistry(
-        workers=workers,
-        data_plane=args.data_plane,
-        timeout=args.timeout,
-    )
+    registry = GraphRegistry(workers=workers, timeout=args.timeout)
     try:
         for spec_string in args.graph:
             entry = registry.register_spec(spec_string)

@@ -107,8 +107,8 @@ def neighborhood_skyline(
 def engine_session(graph: Graph, **options):
     """A warm :class:`~repro.parallel.session.EngineSession` for ``graph``.
 
-    The session owns one worker pool and (on the shared-memory data
-    plane) one published CSR snapshot; repeated
+    The session owns one worker pool and one published shared-memory
+    CSR snapshot, both created on the first pooled call; repeated
     ``session.refine_sky(...)`` / ``session.greedy_maximize(...)``
     calls — or explicit ``session=`` passes to the pooled engines —
     reuse both, so only the first call pays fork + publish.  Use as a
@@ -119,8 +119,8 @@ def engine_session(graph: Graph, **options):
             grp = session.greedy_maximize(8, objective)
 
     ``options`` are :class:`EngineSession`'s keywords (``workers``,
-    ``data_plane``, ``chunk_size``, ``timeout``, ``max_retries``,
-    ``fault_plan``, ``seed``).  Imported lazily for the same
+    ``chunk_size``, ``timeout``, ``max_retries``, ``fault_plan``,
+    ``seed``).  Imported lazily for the same
     import-cycle reason as :func:`_parallel_refine_sky`.
     """
     from repro.parallel.session import EngineSession
@@ -134,7 +134,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8321,
     workers: int = 1,
-    data_plane: str = "auto",
     timeout: Optional[float] = None,
     queue_capacity: int = 64,
     batch_max: int = 8,
@@ -172,9 +171,7 @@ def serve(
         run_server,
     )
 
-    registry = GraphRegistry(
-        workers=workers, data_plane=data_plane, timeout=timeout
-    )
+    registry = GraphRegistry(workers=workers, timeout=timeout)
     try:
         for spec in graphs:
             registry.register_spec(spec)
@@ -218,7 +215,6 @@ def group_centrality_maximize(
     strategy: str = "eager",
     workers: int = 1,
     timeout: Optional[float] = None,
-    data_plane: str = "auto",
     session=None,
     gain_batch="auto",
 ):
@@ -248,11 +244,11 @@ def group_centrality_maximize(
         Per-chunk deadline (seconds) of the round-0 pool's supervisor;
         ``None`` uses the supervisor default.  Recovery never changes
         the result.
-    data_plane / session:
-        Data plane for the round-0 fan-out and an optional warm
-        :func:`engine_session` to run it on — see
-        :func:`~repro.parallel.engine.parallel_refine_sky` for the
-        plane semantics.  Identical output either way.
+    session:
+        An optional warm :func:`engine_session` to run the round-0
+        fan-out on — see :func:`~repro.parallel.engine.
+        parallel_refine_sky` for the session semantics.  Identical
+        output either way.
     gain_batch:
         Marginal-gain lanes per batched evaluation-kernel call:
         ``"auto"`` (the default) sizes from ``n`` and the candidate
@@ -290,7 +286,6 @@ def group_centrality_maximize(
             strategy=strategy,
             workers=workers,
             timeout=timeout,
-            data_plane=data_plane,
             session=session,
             gain_batch=gain_batch,
         )
@@ -301,7 +296,6 @@ def group_centrality_maximize(
         strategy=strategy,
         workers=workers,
         timeout=timeout,
-        data_plane=data_plane,
         session=session,
         gain_batch=gain_batch,
     )

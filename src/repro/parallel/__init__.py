@@ -8,11 +8,13 @@ skyline refine phase; it is registered as
 side of the lazy greedy engine's round-0 fan-out
 (:func:`repro.centrality.lazy_greedy.lazy_greedy_maximize`).
 
-Graph-scale data reaches workers over one of two data planes: the
-classic pickle payload, or named shared-memory segments
-(:mod:`repro.parallel.shm`) that workers attach zero-copy.
-:class:`~repro.parallel.session.EngineSession` keeps one pool plus the
-published segments warm across many calls on the same graph.
+Graph-scale data reaches workers as named shared-memory segments
+(:mod:`repro.parallel.shm`) that they attach zero-copy.  Every pooled
+call runs on an :class:`~repro.parallel.session.EngineSession`: a
+caller's session keeps one pool plus the published segments warm
+across many calls on the same graph, and a one-shot call gets a
+throwaway session closed before it returns.  Where shared memory is
+unusable the engines run in-process, with the identical result.
 """
 
 from repro.parallel.chunks import chunk_ranges, default_chunk_size
@@ -21,20 +23,14 @@ from repro.parallel.engine import (
     default_worker_count,
     parallel_refine_sky,
 )
-from repro.parallel.greedy_worker import (
-    build_greedy_payload,
-    init_greedy_worker,
-    run_gain_chunk,
-)
+from repro.parallel.greedy_worker import init_greedy_worker, run_gain_chunk
 from repro.parallel.params import validate_pool_params
 from repro.parallel.session import EngineSession
 from repro.parallel.shm import (
-    HAVE_SHM,
     SegmentRef,
     ShmDataPlane,
     attach_view,
     live_segment_names,
-    resolve_data_plane,
     shm_available,
 )
 from repro.parallel.supervisor import (
@@ -47,7 +43,6 @@ from repro.parallel.supervisor import (
 __all__ = [
     "DEFAULT_MAX_RETRIES",
     "DEFAULT_TIMEOUT",
-    "HAVE_SHM",
     "SMALL_GRAPH_EDGES",
     "EngineSession",
     "PoolSupervisor",
@@ -60,9 +55,7 @@ __all__ = [
     "default_worker_count",
     "live_segment_names",
     "parallel_refine_sky",
-    "build_greedy_payload",
     "init_greedy_worker",
-    "resolve_data_plane",
     "run_gain_chunk",
     "shm_available",
     "validate_pool_params",

@@ -3,12 +3,13 @@
 The filter phase stays sequential (it is near-linear and inherently
 order-coupled through its twin tie-breaks); the refine phase — the
 dominant cost on candidate-heavy graphs, and independent per candidate —
-is chunked over a :mod:`multiprocessing` pool.  Workers receive one CSR
-snapshot of the graph (:meth:`~repro.graph.adjacency.Graph.to_csr`) via
-the pool initializer, rebuild their :class:`~repro.bloom.vertex_filters.
-VertexBloomIndex` once, and then scan candidate chunks; see
-:mod:`repro.parallel.worker` for the two-pass decomposition and the
-argument that its output is bit-for-bit the sequential one.
+is chunked over a :mod:`multiprocessing` pool.  Every pooled call runs
+on an :class:`~repro.parallel.session.EngineSession` — the caller's warm
+one, or a throwaway one for a one-shot call: workers attach the graph's
+CSR arrays from shared memory, build their :class:`~repro.bloom.
+vertex_filters.VertexBloomIndex` once per call, and then scan candidate
+chunks; see :mod:`repro.parallel.worker` for the two-pass decomposition
+and the argument that its output is bit-for-bit the sequential one.
 
 Guarantees:
 
@@ -21,15 +22,14 @@ Guarantees:
   rescans dominated candidates).  Scheduling facts (mode, workers,
   chunk count, rescans) land in ``counters.extra["parallel_*"]`` keys,
   outside :meth:`~repro.core.counters.SkylineCounters.as_dict`.
-* Small graphs (``num_edges < small_graph_edges``) and ``workers <= 1``
-  run the same two passes in-process — no pool, no snapshot, no
-  latency regression — with, by construction, the same result and the
-  same counter totals.
+* Small graphs (``num_edges < small_graph_edges``), ``workers <= 1``
+  and hosts without usable shared memory run the same two passes
+  in-process — no pool, no snapshot, no latency regression — with, by
+  construction, the same result and the same counter totals.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from array import array
@@ -44,25 +44,18 @@ from repro.graph.adjacency import Graph
 from repro.graph.cores import core_decomposition
 from repro.parallel.chunks import chunk_ranges, default_chunk_size
 from repro.parallel.params import validate_pool_params
-from repro.parallel.shm import (
-    ShmDataPlane,
-    buffer_typecode,
-    resolve_data_plane,
-)
-from repro.parallel.supervisor import (
-    DEFAULT_MAX_RETRIES,
-    PoolSupervisor,
-    SupervisorConfig,
-)
+from repro.parallel.session import session_for_call
+from repro.parallel.shm import shm_available
+from repro.parallel.supervisor import DEFAULT_MAX_RETRIES
 from repro.parallel.worker import (
-    RefineSpec,
-    build_payload,
     build_state,
-    init_worker,
+    publish_refine_spec,
     run_status_chunk,
     run_witness_chunk,
+    status_chunk,
     validate_status_chunk,
     validate_witness_chunk,
+    witness_chunk,
 )
 
 from repro.harness.faults import FaultPlan
@@ -82,15 +75,6 @@ def default_worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _pool_context():
-    # fork shares the parent's code pages and skips re-imports; spawn is
-    # the portable fallback (worker entry points are module-level).
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
-
-
 def parallel_refine_sky(
     graph: Graph,
     *,
@@ -106,7 +90,6 @@ def parallel_refine_sky(
     timeout: Optional[float] = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
     fault_plan: Optional[FaultPlan] = None,
-    data_plane: str = "auto",
     session=None,
 ) -> SkylineResult:
     """Compute the neighborhood skyline with a parallel refine phase.
@@ -154,31 +137,28 @@ def parallel_refine_sky(
         (:class:`~repro.harness.faults.FaultPlan`); ``None`` (the
         default, and the only sane production value) injects nothing.
         Ignored on the in-process path, which has no workers to break.
-    data_plane:
-        How graph-scale data reaches the workers.  ``"pickle"`` ships a
-        payload per process through the pool initializer (the classic
-        plane).  ``"shm"`` publishes the CSR arrays, candidate ids,
-        dominators and core numbers as named shared-memory segments
-        (:mod:`repro.parallel.shm`); workers attach zero-copy and
-        rebuild only per-process scratch (the bloom index / traversal
-        workspace).  ``"auto"`` (the default) picks shm when
-        :mod:`multiprocessing.shared_memory` is usable and falls back
-        to pickle otherwise — the resolved plane and any
-        fallback reason land in ``counters.extra["data_plane"]`` /
-        ``["data_plane_fallback_reason"]``.  Both planes are bit-for-bit
-        identical in results.
     session:
         A warm :class:`~repro.parallel.session.EngineSession` for this
         same graph: the call reuses its pool and published segments
-        instead of forking/publishing per call.  The session's
+        instead of forking/publishing per call, and records
+        ``counters.extra["parallel_session"]`` (``"cold"`` for the
+        session's first pooled call, ``"warm"`` after).  The session's
         scheduling knobs (``workers`` / ``timeout`` / ``max_retries`` /
         ``fault_plan``) are authoritative; passing a conflicting value
-        here raises :class:`~repro.errors.ParameterError`.
+        here raises :class:`~repro.errors.ParameterError`.  Without one,
+        a pooled call runs on a throwaway session closed before the
+        call returns.
+
+    Pooled calls publish the CSR arrays, candidate ids, dominators and
+    core numbers as named shared-memory segments
+    (:mod:`repro.parallel.shm`); workers attach them zero-copy and
+    rebuild only per-process scratch.  The publish time lands in
+    ``counters.extra["plane_publish_s"]``.
 
     The result's ``skyline``/``dominator``/``candidates`` are identical
-    to the sequential ``filter_refine_sky`` for any worker count, either
-    data plane, with or without a session — and, with supervision, for
-    any combination of worker crashes, hangs and corrupt payloads.
+    to the sequential ``filter_refine_sky`` for any worker count, with
+    or without a session — and, with supervision, for any combination
+    of worker crashes, hangs and corrupt payloads.
     """
     if not exact:
         raise ParameterError(
@@ -191,55 +171,14 @@ def parallel_refine_sky(
             f"unknown refine kernel {refine!r}; choose 'bloom' or 'block'"
         )
     if session is not None:
-        session.check_open()
-        if session.graph is not graph:
-            raise ParameterError(
-                "this EngineSession was created for a different graph; "
-                "sessions pin one published graph snapshot"
-            )
-        if workers is None:
-            workers = session.workers
-        elif workers != session.workers:
-            raise ParameterError(
-                f"workers={workers} conflicts with the session's "
-                f"{session.workers}; the pool size is fixed at session "
-                "construction"
-            )
-        if fault_plan is not None:
-            raise ParameterError(
-                "fault_plan is fixed at session construction; pass it "
-                "to EngineSession instead"
-            )
-        fault_plan = session.fault_plan
-        if timeout is not None and timeout != session.timeout:
-            raise ParameterError(
-                f"timeout={timeout} conflicts with the session's "
-                f"{session.timeout}; the supervisor config is fixed at "
-                "session construction"
-            )
-        timeout = session.timeout
-        if max_retries not in (session.max_retries, DEFAULT_MAX_RETRIES):
-            raise ParameterError(
-                f"max_retries={max_retries} conflicts with the "
-                f"session's {session.max_retries}"
-            )
-        max_retries = session.max_retries
-        if chunk_size is None:
-            chunk_size = session.chunk_size
-        if data_plane == "auto":
-            effective_plane = session.data_plane
-            plane_reason = session.plane_fallback_reason
-        else:
-            resolved, _ = resolve_data_plane(data_plane)
-            if resolved != session.data_plane:
-                raise ParameterError(
-                    f"data_plane={data_plane!r} conflicts with the "
-                    f"session's {session.data_plane!r}"
-                )
-            effective_plane = session.data_plane
-            plane_reason = session.plane_fallback_reason
-    else:
-        effective_plane, plane_reason = resolve_data_plane(data_plane)
+        workers, chunk_size = session.bind_call(
+            graph,
+            workers=workers,
+            chunk_size=chunk_size,
+            timeout=timeout,
+            max_retries=max_retries,
+            fault_plan=fault_plan,
+        )
     if workers is None:
         workers = default_worker_count()
     validate_pool_params(
@@ -267,7 +206,11 @@ def parallel_refine_sky(
 
     size = chunk_size or default_chunk_size(len(candidates), workers)
     status_tasks = chunk_ranges(len(candidates), size)
-    use_pool = workers > 1 and graph.num_edges >= small_graph_edges
+    use_pool = (
+        workers > 1
+        and graph.num_edges >= small_graph_edges
+        and shm_available()
+    )
 
     chunk_dicts: list[dict] = []
     resilience_events: Optional[dict[str, int]] = None
@@ -277,9 +220,7 @@ def parallel_refine_sky(
         # The guaranteed sequential fallback: an in-process RefineState
         # built lazily, only if a chunk actually exhausts its retries.
         # Scans are pure functions of frozen state, so recomputing any
-        # chunk here yields exactly the value the worker would have —
-        # on either data plane (the chunk runners attach any segment
-        # refs in their tasks themselves, parent-side too).
+        # chunk here yields exactly the value the worker would have.
         _fb: list = []
 
         def _fallback_state():
@@ -297,74 +238,31 @@ def parallel_refine_sky(
                 )
             return _fb[0]
 
-        if effective_plane == "shm":
-            # Shared-memory plane: the graph CSR lives in named
-            # segments workers attach zero-copy; call-scoped data
-            # (candidates, dominators, core numbers) ships the same
-            # way, so each task is a few-hundred-byte spec.
-            owns_plane = session is None
+        with session_for_call(
+            session,
+            graph,
+            workers=workers,
+            timeout=timeout,
+            max_retries=max_retries,
+            fault_plan=fault_plan,
+            seed=seed,
+        ) as pool_session:
+            # The graph CSR lives in named segments workers attach
+            # zero-copy; call-scoped data (candidates, dominators, core
+            # numbers) ships the same way, so each task is a
+            # few-hundred-byte spec.
             publish_t0 = time.perf_counter()
-            if owns_plane:
-                plane = ShmDataPlane()
-                indptr, indices = graph.to_csr()
-                graph_refs = {
-                    "indptr": plane.publish(
-                        indptr, buffer_typecode(indptr)
-                    ),
-                    "indices": plane.publish(
-                        indices, buffer_typecode(indices)
-                    ),
-                }
-                supervisor = PoolSupervisor(
-                    workers=workers,
-                    initializer=init_worker,
-                    initargs=(("shm", graph_refs),),
-                    config=SupervisorConfig(
-                        timeout=timeout, max_retries=max_retries, seed=seed
-                    ),
-                    fault_plan=fault_plan,
-                    mp_context=_pool_context(),
-                )
-                cand_ref = plane.publish(array("q", candidates), "q")
-                dom_ref = plane.publish(array("q", dominator), "q")
-                cores_ref = (
-                    plane.publish(array("q", cores), "q")
-                    if cores is not None
-                    else None
-                )
-                epoch = 1
-            else:
-                plane = session.plane
-                supervisor = session.supervisor()
+            supervisor = pool_session.supervisor()
+            if session is not None:
                 session_label = session.note_pooled_call()
-                cand_ref = session.cached_segment(
-                    "cand", array("q", candidates), "q"
-                )
-                dom_ref = session.cached_segment(
-                    "dom", array("q", dominator), "q"
-                )
-                cores_ref = (
-                    session.cached_segment("cores", array("q", cores), "q")
-                    if cores is not None
-                    else None
-                )
-                epoch = session.next_epoch()
-            spec = RefineSpec(
-                epoch=epoch,
-                key=(
-                    refine,
-                    bits,
-                    seed,
-                    cand_ref.name,
-                    dom_ref.name,
-                    cores_ref.name if cores_ref is not None else None,
-                ),
-                refine=refine,
+            spec = publish_refine_spec(
+                pool_session,
+                candidates,
+                dominator,
                 bits=bits,
                 seed=seed,
-                candidates=cand_ref,
-                dominator=dom_ref,
-                cores=cores_ref,
+                refine=refine,
+                cores=cores,
             )
             plane_publish_s = time.perf_counter() - publish_t0
             # A session supervisor accumulates events across calls;
@@ -376,8 +274,8 @@ def parallel_refine_sky(
                 for part, stats in supervisor.run(
                     run_status_chunk,
                     [(spec, lo, hi) for lo, hi in status_tasks],
-                    fallback=lambda task: run_status_chunk(
-                        task, _fallback_state()
+                    fallback=lambda task: status_chunk(
+                        _fallback_state(), task[1], task[2]
                     ),
                     validate=validate_status_chunk,
                 ):
@@ -385,93 +283,32 @@ def parallel_refine_sky(
                     chunk_dicts.append(stats)
                 # The dominated list is born here, between the passes —
                 # always a fresh per-call segment, never cached.
-                dom_blob_ref = plane.publish(array("q", dominated), "q")
-                witness_tasks = [
-                    (spec, lo, hi, dom_blob_ref)
-                    for lo, hi in chunk_ranges(len(dominated), size)
-                ]
+                dom_blob_ref = pool_session.plane.publish(
+                    array("q", dominated), "q"
+                )
                 witness_pairs: list[tuple[int, int]] = []
                 for part, stats in supervisor.run(
                     run_witness_chunk,
-                    witness_tasks,
-                    fallback=lambda task: run_witness_chunk(
-                        task, _fallback_state()
+                    [
+                        (spec, lo, hi, dom_blob_ref)
+                        for lo, hi in chunk_ranges(len(dominated), size)
+                    ],
+                    fallback=lambda task: witness_chunk(
+                        _fallback_state(), dominated, task[1], task[2]
                     ),
                     validate=validate_witness_chunk,
                 ):
                     witness_pairs.extend(part)
                     chunk_dicts.append(stats)
             finally:
-                if owns_plane:
-                    # One-shot call: tear down pool and segments on
-                    # every exit path (RecoveryError, Ctrl-C, ...).
-                    supervisor.shutdown()
-                    plane.close()
-                elif dom_blob_ref is not None:
-                    # Session call: pool and cached segments stay warm;
-                    # only the per-call dominated blob is retired.
-                    plane.unlink_one(dom_blob_ref)
+                # The pool and cached segments stay warm for the next
+                # call; only the per-call dominated blob is retired.
+                if dom_blob_ref is not None:
+                    pool_session.plane.unlink_one(dom_blob_ref)
             resilience_events = {
                 key: value - events_before.get(key, 0)
                 for key, value in supervisor.events.items()
             }
-        else:
-            if session is not None:
-                # Pickle-plane sessions centralize the knobs but cannot
-                # keep workers warm (nothing to re-attach): every call
-                # ships a fresh payload through a fresh pool.
-                session_label = "cold"
-            payload = build_payload(
-                graph,
-                candidates,
-                dominator,
-                bits=bits,
-                seed=seed,
-                refine=refine,
-                cores=cores,
-            )
-            supervisor = PoolSupervisor(
-                workers=workers,
-                initializer=init_worker,
-                initargs=(payload,),
-                config=SupervisorConfig(
-                    timeout=timeout, max_retries=max_retries, seed=seed
-                ),
-                fault_plan=fault_plan,
-                mp_context=_pool_context(),
-            )
-            # Context management guarantees terminate()/join() on *every*
-            # exit path — a chunk raising mid-iteration, RecoveryError,
-            # Ctrl-C — so no child process ever outlives the engine call.
-            with supervisor:
-                dominated = []
-                for part, stats in supervisor.run(
-                    run_status_chunk,
-                    status_tasks,
-                    fallback=lambda task: run_status_chunk(
-                        task, _fallback_state()
-                    ),
-                    validate=validate_status_chunk,
-                ):
-                    dominated.extend(part)
-                    chunk_dicts.append(stats)
-                blob = array("q", dominated)
-                witness_tasks = [
-                    (lo, hi, blob)
-                    for lo, hi in chunk_ranges(len(dominated), size)
-                ]
-                witness_pairs = []
-                for part, stats in supervisor.run(
-                    run_witness_chunk,
-                    witness_tasks,
-                    fallback=lambda task: run_witness_chunk(
-                        task, _fallback_state()
-                    ),
-                    validate=validate_witness_chunk,
-                ):
-                    witness_pairs.extend(part)
-                    chunk_dicts.append(stats)
-            resilience_events = supervisor.events
     else:
         state = build_state(
             graph,
@@ -483,13 +320,13 @@ def parallel_refine_sky(
             cores=cores,
         )
         dominated = []
-        for task in status_tasks:
-            part, stats = run_status_chunk(task, state)
+        for lo, hi in status_tasks:
+            part, stats = status_chunk(state, lo, hi)
             dominated.extend(part)
             chunk_dicts.append(stats)
         witness_pairs = []
-        for task in chunk_ranges(len(dominated), size):
-            part, stats = run_witness_chunk((*task, dominated), state)
+        for lo, hi in chunk_ranges(len(dominated), size):
+            part, stats = witness_chunk(state, dominated, lo, hi)
             witness_pairs.extend(part)
             chunk_dicts.append(stats)
 
@@ -505,13 +342,9 @@ def parallel_refine_sky(
         counters.extra["parallel_chunks"] = len(status_tasks)
         counters.extra["parallel_rescans"] = len(dominated)
         if use_pool:
-            counters.extra["data_plane"] = effective_plane
-            if plane_reason is not None:
-                counters.extra["data_plane_fallback_reason"] = plane_reason
+            counters.extra["plane_publish_s"] = plane_publish_s
             if session_label is not None:
                 counters.extra["parallel_session"] = session_label
-            if plane_publish_s is not None:
-                counters.extra["plane_publish_s"] = plane_publish_s
         if resilience_events is not None:
             for key, value in resilience_events.items():
                 counters.extra[key] = counters.extra.get(key, 0) + value

@@ -4,36 +4,28 @@ The first greedy round is the expensive one — with an empty group every
 candidate's truncated BFS degenerates to a full BFS — and it is
 embarrassingly parallel: the gains are pure functions of the graph and
 an all-``-1`` distance vector.  This module is the worker side of that
-fan-out, mirroring :mod:`repro.parallel.worker`'s shape: a pickle-cheap
-payload shipped once per process via the pool initializer, module-level
-state rebuilt from it, and a chunk entry point mapped over index ranges
-of the candidate pool.
-
-Two data planes, as in the refine worker:
-
-* **pickle** — :func:`build_greedy_payload` ships CSR rows + pool +
-  objective per process; the initializer rebuilds everything.
-* **shm** — the initializer gets ``("shm", {"indptr", "indices"})``
-  refs, attaches the CSR segments (:mod:`repro.parallel.shm`), and
-  builds the :class:`~repro.paths.csr.CSRTraversal` workspace lazily,
-  once per process lifetime; the pool and objective arrive per call in
-  a :class:`GreedySpec` riding inside each task.
+fan-out, mirroring :mod:`repro.parallel.worker`'s shape: the pool
+initializer attaches the graph's CSR segments (:mod:`repro.parallel.
+shm`) and builds the :class:`~repro.paths.csr.CSRTraversal` workspace
+lazily, once per process lifetime; the candidate pool and objective
+arrive per call in a :class:`GreedySpec` riding inside each task, and
+:func:`run_gain_chunk` maps over index ranges of the pool.  The pure
+chunk function :func:`gain_chunk` takes its state explicitly — the
+engine's sequential fallback calls it on a state built from the live
+graph (:func:`build_greedy_state`).
 
 Gains come back as ``array('d')`` blobs in pool order.  Workers run the
 same :class:`~repro.paths.csr.CSRTraversal` kernels as the in-process
 engine on the same CSR snapshot, so the floats they return are bitwise
-identical to an in-process round 0 for any worker count, chunking or
-data plane — the lazy engine's exactness argument never has to mention
-the pool.
+identical to an in-process round 0 for any worker count or chunking —
+the lazy engine's exactness argument never has to mention the pool.
 
-The objective rides along inside the payload (or spec), so it must
-pickle; the bundled objectives (plain module-level classes holding
-scalars) all do.
+The objective rides along inside the spec, so it must pickle; the
+bundled objectives (plain module-level classes holding scalars) all do.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from array import array
 from typing import NamedTuple, Optional
 
@@ -48,17 +40,16 @@ from repro.paths.csr import (
 
 __all__ = [
     "GreedySpec",
-    "build_greedy_payload",
     "build_greedy_state",
+    "gain_chunk",
     "init_greedy_worker",
-    "pool_context",
     "run_gain_chunk",
     "validate_gain_chunk",
 ]
 
 
 class GreedySpec(NamedTuple):
-    """Per-call round-0 parameters for shared-memory dispatch.
+    """Per-call round-0 parameters, shipped inside each task.
 
     ``pool`` names the candidate-scope segment; the objective (scalars
     only for the bundled ones) pickles inline.  ``key`` keys the
@@ -69,40 +60,10 @@ class GreedySpec(NamedTuple):
     in ``key`` so a cached state is never reused at the wrong width.
     """
 
-    epoch: int
     key: tuple
     objective: object
     pool: SegmentRef
     batch: int = 1
-
-
-def pool_context():
-    """The multiprocessing context for greedy worker pools.
-
-    fork shares the parent's code pages and skips re-imports; spawn is
-    the portable fallback (worker entry points are module-level).
-    """
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
-
-
-def build_greedy_payload(graph, objective, pool, batch: int = 1) -> tuple:
-    """The snapshot shipped to every worker: CSR rows + pool + objective
-    (+ the gain-batch lane count).
-
-    CSR-backed graphs already hold ``int32`` ndarrays (which pickle as
-    compactly as anything); only the list path's ``array('q')`` indices
-    are narrowed to ``'i'`` for the wire.  ``batch == 1`` ships the
-    legacy 4-tuple, so older payload producers and consumers interoperate.
-    """
-    indptr, indices = graph.to_csr()
-    if isinstance(indices, array):
-        indices = array("i", indices)
-    if batch == 1:
-        return (indptr, indices, array("q", pool), objective)
-    return (indptr, indices, array("q", pool), objective, batch)
 
 
 def _batch_state(trav, objective, batch):
@@ -116,27 +77,21 @@ def _batch_state(trav, objective, batch):
     return batch_evaluate, _np.full(trav.n, -1, dtype=_np.int32)
 
 
-def build_greedy_state(payload: tuple) -> tuple:
-    """Rebuild the traversal workspace and bound evaluators from a payload."""
-    if len(payload) == 5:
-        indptr, indices, pool, objective, batch = payload
-    else:
-        indptr, indices, pool, objective = payload
-        batch = 1
-    trav = CSRTraversal(indptr, indices)
+def _greedy_state(trav, current, pool, objective, batch) -> tuple:
     evaluate = make_evaluator(trav, objective)
-    # Round 0 only: the group is empty, every distance is infinity.
-    current = [-1] * trav.n
     batch_evaluate, current_nd = _batch_state(trav, objective, batch)
     return (pool, evaluate, current, batch, batch_evaluate, current_nd)
 
 
-#: Worker-process state, populated by :func:`init_greedy_worker`
-#: (pickle plane).
-_STATE: Optional[tuple] = None
+def build_greedy_state(graph, objective, pool, batch: int = 1) -> tuple:
+    """The round-0 state over a live graph (the sequential fallback)."""
+    trav = CSRTraversal.from_graph(graph)
+    # Round 0 only: the group is empty, every distance is infinity.
+    return _greedy_state(trav, [-1] * trav.n, pool, objective, batch)
 
-#: Attached ``(indptr, indices)`` views (shm plane); the traversal
-#: workspace is built from them lazily, once, on the first spec task.
+
+#: Attached ``(indptr, indices)`` views; the traversal workspace is
+#: built from them lazily, once, on the first spec task.
 _CSR: Optional[tuple] = None
 
 #: Lazily built ``(CSRTraversal, current)`` pair shared by every call —
@@ -149,19 +104,15 @@ _TRAV: Optional[tuple] = None
 _CALL: Optional[dict] = None
 
 
-def init_greedy_worker(payload: tuple) -> None:
-    """Pool initializer for either data plane (see module docstring)."""
-    global _STATE, _CSR, _TRAV, _CALL
-    # isinstance guard: the pickle payload leads with the indptr array,
-    # and ndarray == str compares elementwise instead of returning False.
-    if payload and isinstance(payload[0], str) and payload[0] == "shm":
-        refs = payload[1]
-        _CSR = (attach_view(refs["indptr"]), attach_view(refs["indices"]))
-        _STATE = None
-        _TRAV = None
-        _CALL = None
-        return
-    _STATE = build_greedy_state(payload)
+def init_greedy_worker(graph_refs: dict) -> None:
+    """Pool initializer: attach the graph's CSR segments."""
+    global _CSR, _TRAV, _CALL
+    _CSR = (
+        attach_view(graph_refs["indptr"]),
+        attach_view(graph_refs["indices"]),
+    )
+    _TRAV = None
+    _CALL = None
 
 
 def _greedy_call_state(spec: GreedySpec) -> tuple:
@@ -172,18 +123,16 @@ def _greedy_call_state(spec: GreedySpec) -> tuple:
         return cached["state"]
     if _CSR is None:
         raise RuntimeError(
-            "received a shared-memory task but this worker was not "
-            "initialized with a shm payload"
+            "received a gain task but this worker was not initialized "
+            "with the graph's segments"
         )
     if _TRAV is None:
         trav = CSRTraversal(_CSR[0], _CSR[1])
         _TRAV = (trav, [-1] * trav.n)
     trav, current = _TRAV
-    pool = attach_view(spec.pool)
-    evaluate = make_evaluator(trav, spec.objective)
-    batch = getattr(spec, "batch", 1)
-    batch_evaluate, current_nd = _batch_state(trav, spec.objective, batch)
-    state = (pool, evaluate, current, batch, batch_evaluate, current_nd)
+    state = _greedy_state(
+        trav, current, attach_view(spec.pool), spec.objective, spec.batch
+    )
     _CALL = {"key": spec.key, "state": state, "names": {spec.pool.name}}
     if cached is not None:
         stale = cached["names"] - _CALL["names"]
@@ -192,20 +141,8 @@ def _greedy_call_state(spec: GreedySpec) -> tuple:
     return state
 
 
-def run_gain_chunk(task: tuple, state: Optional[tuple] = None) -> array:
-    """Round-0 gains for one pool slice, as an ``array('d')``.
-
-    ``task`` is ``(lo, hi)`` on the pickle plane or ``(spec, lo, hi)``
-    on the shm plane.
-    """
-    if isinstance(task[0], int):
-        lo, hi = task
-        if state is None:
-            state = _STATE
-    else:
-        spec, lo, hi = task
-        if state is None:
-            state = _greedy_call_state(spec)
+def gain_chunk(state: tuple, lo: int, hi: int) -> array:
+    """Round-0 gains for pool slice ``lo .. hi``, as an ``array('d')``."""
     pool, evaluate, current, batch, batch_evaluate, current_nd = state
     seg = pool[lo:hi]
     if batch_evaluate is not None and hi - lo > 1:
@@ -222,6 +159,12 @@ def run_gain_chunk(task: tuple, state: Optional[tuple] = None) -> array:
     return array("d", [evaluate(u, current, False)[0] for u in seg])
 
 
+def run_gain_chunk(task: tuple) -> array:
+    """Worker entry of round 0; ``task`` is ``(spec, lo, hi)``."""
+    spec, lo, hi = task
+    return gain_chunk(_greedy_call_state(spec), lo, hi)
+
+
 def validate_gain_chunk(task: tuple, result) -> bool:
     """Schema check for a :func:`run_gain_chunk` payload.
 
@@ -229,10 +172,7 @@ def validate_gain_chunk(task: tuple, result) -> bool:
     bundled objectives only produce non-negative round-0 gains, but the
     evaluator accepts arbitrary ``GainObjective`` weights.)
     """
-    if isinstance(task[0], int):
-        lo, hi = task
-    else:
-        lo, hi = task[1], task[2]
+    lo, hi = task[1], task[2]
     if not isinstance(result, array) or result.typecode != "d":
         return False
     if len(result) != hi - lo:

@@ -1,22 +1,25 @@
 """Warm engine sessions: one pool + one published graph, many calls.
 
-The one-shot pooled engines pay pool fork + payload ship on every call.
-For a serving loop — many skyline/greedy requests against the same
-immutable graph — that setup dwarfs the dispatch.  An
-:class:`EngineSession` amortizes it:
+A pooled call pays pool fork + graph publish before its first chunk
+runs.  For a serving loop — many skyline/greedy requests against the
+same immutable graph — that setup dwarfs the dispatch.  An
+:class:`EngineSession` amortizes it: on its first pooled call it
+publishes the graph's CSR arrays as shared-memory segments
+(:class:`~repro.parallel.shm.ShmDataPlane`), forks one supervised pool
+whose initializer merely *attaches* them, and keeps both alive across
+calls.  Call-scoped data (candidates, dominators, greedy pools) is
+published into digest-keyed cached segments, so a repeated call ships
+only a spec of a few hundred bytes per chunk and hits the workers'
+state cache outright — the first call pays publish + fork, later calls
+pay chunk dispatch.
 
-* On the **shm plane** the session publishes the graph's CSR arrays as
-  shared-memory segments once (:class:`~repro.parallel.shm.
-  ShmDataPlane`), forks one supervised pool whose initializer merely
-  *attaches* them, and keeps both alive across calls.  Call-scoped data
-  (candidates, dominators, greedy pools) is published into digest-keyed
-  cached segments, so a repeated call ships only a spec of a few
-  hundred bytes per chunk and hits the workers' state cache outright —
-  the first call pays publish + fork, later calls pay chunk dispatch.
-* On the **pickle plane** (forced, or the automatic fallback when
-  shared memory is unavailable) the session still centralizes
-  the scheduling knobs, but every call rebuilds its own pool — warm
-  reuse requires attachable segments, and the docs say so.
+The session is also the engines' only pooled path: a one-shot pooled
+call (no ``session=``) runs on a throwaway session that
+:func:`session_for_call` closes when the call returns.  Nothing is
+published or forked until a call actually pools, so a ``workers=1``
+session never touches shared memory; on a host where no segment can be
+created (:func:`~repro.parallel.shm.shm_available` is false) the
+engines run their in-process path instead.
 
 Sessions compose with the fault story unchanged: the pool is a
 :class:`~repro.parallel.supervisor.PoolSupervisor`, a crashed pool is
@@ -29,32 +32,30 @@ Ctrl-C or :class:`~repro.errors.RecoveryError` unwinds.
             result = session.refine_sky()          # warm after call 1
             group = session.greedy_maximize(8, objective)
 
-Thread safety: none.  A session is a single-caller object, like the
-engines it fronts.
+Thread safety: none, except that :meth:`EngineSession.close` may run on
+another thread.  A session is a single-caller object, like the engines
+it fronts.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
+from contextlib import contextmanager
 from hashlib import blake2b
 from typing import Optional
 
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 from repro.parallel.params import validate_pool_params
-from repro.parallel.shm import (
-    SegmentRef,
-    ShmDataPlane,
-    buffer_typecode,
-    resolve_data_plane,
-)
+from repro.parallel.shm import SegmentRef, ShmDataPlane, buffer_typecode
 from repro.parallel.supervisor import (
     DEFAULT_MAX_RETRIES,
     PoolSupervisor,
     SupervisorConfig,
 )
 
-__all__ = ["EngineSession"]
+__all__ = ["EngineSession", "pool_context", "session_for_call"]
 
 #: Cached call-scoped segments per session.  Bounds a long-lived session
 #: serving many distinct candidate pools; eviction is oldest-first and
@@ -63,7 +64,19 @@ __all__ = ["EngineSession"]
 _MAX_CACHED_SEGMENTS = 16
 
 
-def _session_worker_init(refine_payload, greedy_payload) -> None:
+def pool_context():
+    """The multiprocessing context for worker pools.
+
+    fork shares the parent's code pages and skips re-imports; spawn is
+    the portable fallback (worker entry points are module-level).
+    """
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn"
+    )
+
+
+def _session_worker_init(graph_refs: dict) -> None:
     """Initializer of a session pool: arm *both* worker modules.
 
     One warm pool serves refine chunks and greedy round-0 chunks alike
@@ -74,8 +87,8 @@ def _session_worker_init(refine_payload, greedy_payload) -> None:
     from repro.parallel.greedy_worker import init_greedy_worker
     from repro.parallel.worker import init_worker
 
-    init_worker(refine_payload)
-    init_greedy_worker(greedy_payload)
+    init_worker(graph_refs)
+    init_greedy_worker(graph_refs)
 
 
 class EngineSession:
@@ -84,12 +97,7 @@ class EngineSession:
     Parameters mirror the pooled engines' scheduling knobs and are
     fixed for the session's lifetime — per-call overrides that conflict
     raise :class:`~repro.errors.ParameterError` rather than silently
-    rebuilding the pool.
-
-    ``data_plane`` is resolved once, here: ``"auto"`` picks ``"shm"``
-    when shared memory is usable and falls back to ``"pickle"``
-    otherwise (the reason lands in
-    ``counters.extra["data_plane_fallback_reason"]`` of every call).
+    rebuilding the pool (:meth:`bind_call`).
     """
 
     def __init__(
@@ -97,7 +105,6 @@ class EngineSession:
         graph: Graph,
         *,
         workers: Optional[int] = None,
-        data_plane: str = "auto",
         chunk_size: Optional[int] = None,
         timeout: Optional[float] = None,
         max_retries: int = DEFAULT_MAX_RETRIES,
@@ -121,16 +128,11 @@ class EngineSession:
         self.max_retries = max_retries
         self.fault_plan = fault_plan
         self.seed = seed
-        self.data_plane, self.plane_fallback_reason = resolve_data_plane(
-            data_plane
-        )
-        self._plane: Optional[ShmDataPlane] = (
-            ShmDataPlane() if self.data_plane == "shm" else None
-        )
+        #: Created on the first publish (:meth:`_ensure_plane`).
+        self._plane: Optional[ShmDataPlane] = None
         self._graph_refs: Optional[dict] = None
         self._supervisor: Optional[PoolSupervisor] = None
         self._seg_cache: dict[tuple, SegmentRef] = {}
-        self._epoch = 0
         self._pooled_calls = 0
         self._closed = False
         self._close_lock = threading.Lock()
@@ -164,13 +166,14 @@ class EngineSession:
                 return
             self._closed = True
             supervisor, self._supervisor = self._supervisor, None
+            plane = self._plane
         try:
             if supervisor is not None:
                 supervisor.shutdown()
         finally:
             self._seg_cache.clear()
-            if self._plane is not None:
-                self._plane.close()
+            if plane is not None:
+                plane.close()
 
     def __enter__(self) -> "EngineSession":
         self.check_open()
@@ -181,22 +184,75 @@ class EngineSession:
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
-        return (
-            f"EngineSession(workers={self.workers}, "
-            f"data_plane={self.data_plane!r}, {state})"
+        return f"EngineSession(workers={self.workers}, {state})"
+
+    def bind_call(
+        self,
+        graph: Graph,
+        *,
+        workers,
+        chunk_size: Optional[int],
+        timeout: Optional[float],
+        max_retries: int,
+        fault_plan,
+        unset_workers=None,
+    ) -> tuple[int, Optional[int]]:
+        """Check one engine call's knobs against the session's.
+
+        The session's scheduling knobs are authoritative.  A call may
+        repeat them or leave them at the engine's default —
+        ``workers == unset_workers``, ``chunk_size=None``,
+        ``timeout=None``, ``max_retries=DEFAULT_MAX_RETRIES`` — and
+        anything else raises :class:`~repro.errors.ParameterError`, as
+        does a call for a different graph or a per-call ``fault_plan``.
+        Returns the call's effective ``(workers, chunk_size)``.
+        """
+        self.check_open()
+        if graph is not self.graph:
+            raise ParameterError(
+                "this EngineSession was created for a different graph; "
+                "sessions pin one published graph snapshot"
+            )
+        if workers != unset_workers and workers != self.workers:
+            raise ParameterError(
+                f"workers={workers} conflicts with the session's "
+                f"{self.workers}; the pool size is fixed at session "
+                "construction"
+            )
+        if fault_plan is not None:
+            raise ParameterError(
+                "fault_plan is fixed at session construction; pass it "
+                "to EngineSession instead"
+            )
+        if timeout is not None and timeout != self.timeout:
+            raise ParameterError(
+                f"timeout={timeout} conflicts with the session's "
+                f"{self.timeout}; the supervisor config is fixed at "
+                "session construction"
+            )
+        if max_retries not in (self.max_retries, DEFAULT_MAX_RETRIES):
+            raise ParameterError(
+                f"max_retries={max_retries} conflicts with the "
+                f"session's {self.max_retries}"
+            )
+        return self.workers, (
+            self.chunk_size if chunk_size is None else chunk_size
         )
 
     # -- shm machinery (engine-facing) ---------------------------------
     @property
-    def plane(self) -> ShmDataPlane:
+    def plane(self) -> Optional[ShmDataPlane]:
+        """The session's segment owner; ``None`` until the first publish."""
         return self._plane
 
-    def _require_shm(self) -> None:
-        if self._plane is None:
-            raise ParameterError(
-                "this EngineSession runs on the pickle plane; it has no "
-                "shared-memory segments to publish"
-            )
+    def _ensure_plane(self) -> ShmDataPlane:
+        # Under the close lock: a close() racing the first publish
+        # either sees the new plane or stops it from being created.
+        with self._close_lock:
+            self.check_open()
+            if self._plane is None:
+                self._plane = ShmDataPlane()
+            return self._plane
 
     def graph_refs(self) -> dict:
         """Publish the graph CSR once; return its segment refs.
@@ -207,44 +263,39 @@ class EngineSession:
         rebuild loop retrying a failed session never accumulates
         orphaned ``/dev/shm`` segments.
         """
-        self.check_open()
-        self._require_shm()
+        plane = self._ensure_plane()
         if self._graph_refs is None:
             indptr, indices = self.graph.to_csr()  # memoized on the graph
             refs: dict[str, SegmentRef] = {}
             try:
-                refs["indptr"] = self._plane.publish(
+                refs["indptr"] = plane.publish(
                     indptr, buffer_typecode(indptr)
                 )
-                refs["indices"] = self._plane.publish(
+                refs["indices"] = plane.publish(
                     indices, buffer_typecode(indices)
                 )
             except BaseException:
                 for ref in refs.values():
-                    self._plane.unlink_one(ref)
+                    plane.unlink_one(ref)
                 raise
             self._graph_refs = refs
         return self._graph_refs
 
     def supervisor(self) -> PoolSupervisor:
-        """The warm pool supervisor (shm plane only), created on first use."""
+        """The warm pool supervisor, created on first use."""
         self.check_open()
         if self._supervisor is None:
-            from repro.parallel.engine import _pool_context
-
-            refs = self.graph_refs()
-            payload = ("shm", refs)
             self._supervisor = PoolSupervisor(
                 workers=self.workers,
                 initializer=_session_worker_init,
-                initargs=(payload, payload),
+                initargs=(self.graph_refs(),),
                 config=SupervisorConfig(
                     timeout=self.timeout,
                     max_retries=self.max_retries,
                     seed=self.seed,
                 ),
                 fault_plan=self.fault_plan,
-                mp_context=_pool_context(),
+                mp_context=pool_context(),
             )
         return self._supervisor
 
@@ -256,8 +307,7 @@ class EngineSession:
         workers' spec-keyed state cache recognize a repeated call.  The
         cache is bounded; the oldest entry is unlinked when it overflows.
         """
-        self.check_open()
-        self._require_shm()
+        plane = self._ensure_plane()
         mv = memoryview(data)
         if mv.format != "B":
             mv = mv.cast("B")
@@ -265,17 +315,12 @@ class EngineSession:
         key = (kind, typecode, digest)
         ref = self._seg_cache.get(key)
         if ref is None:
-            ref = self._plane.publish(mv, typecode)
+            ref = plane.publish(mv, typecode)
             self._seg_cache[key] = ref
             while len(self._seg_cache) > _MAX_CACHED_SEGMENTS:
                 oldest = next(iter(self._seg_cache))
-                self._plane.unlink_one(self._seg_cache.pop(oldest))
+                plane.unlink_one(self._seg_cache.pop(oldest))
         return ref
-
-    def next_epoch(self) -> int:
-        """A fresh per-call epoch; tags each call's specs for workers."""
-        self._epoch += 1
-        return self._epoch
 
     def note_pooled_call(self) -> str:
         """``"cold"`` for the session's first pooled call, ``"warm"`` after."""
@@ -297,3 +342,23 @@ class EngineSession:
         return lazy_greedy_maximize(
             self.graph, k, objective, session=self, **options
         )
+
+
+@contextmanager
+def session_for_call(session: Optional[EngineSession], graph: Graph, **knobs):
+    """Yield ``session``, or a throwaway one closed when the block exits.
+
+    The pooled engines' single pooled path: a one-shot call (no
+    ``session=``) runs on a fresh :class:`EngineSession` built from
+    ``knobs`` whose pool and segments are torn down on every exit path
+    (``RecoveryError``, Ctrl-C, ...); a caller's session is used as is
+    and stays warm.
+    """
+    if session is not None:
+        yield session
+        return
+    throwaway = EngineSession(graph, **knobs)
+    try:
+        yield throwaway
+    finally:
+        throwaway.close()

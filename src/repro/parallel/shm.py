@@ -1,10 +1,12 @@
 """Zero-copy shared-memory data plane for the pooled engines.
 
-The pickle plane ships a full CSR payload into *every* worker
-through the pool initializer and rebuilds adjacency lists per process.
-For one immutable graph served repeatedly that is pure overhead: the
-refine and greedy kernels are read-only over frozen snapshots, which is
-exactly the shape :mod:`multiprocessing.shared_memory` is built for.
+The refine and greedy kernels are read-only over frozen snapshots of
+one immutable graph, which is exactly the shape
+:mod:`multiprocessing.shared_memory` is built for: the parent publishes
+each array once and every worker maps it by name, with no per-process
+copy and no pickling of graph-scale data.  This is the only transport
+the pooled engines use; on a host where no segment can be created
+(:func:`shm_available` is false) they run in-process instead.
 
 This module is the plumbing both sides share:
 
@@ -42,16 +44,9 @@ import os
 import weakref
 from typing import NamedTuple, Optional
 
-try:  # pragma: no cover - absence exercised via monkeypatched HAVE_SHM
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None
-
-#: ``True`` when :mod:`multiprocessing.shared_memory` is importable.
-HAVE_SHM = _shared_memory is not None
+from multiprocessing import shared_memory as _shared_memory
 
 __all__ = [
-    "HAVE_SHM",
     "SegmentRef",
     "ShmDataPlane",
     "attach_view",
@@ -59,7 +54,6 @@ __all__ = [
     "buffer_typecode",
     "live_segment_names",
     "release_attachments",
-    "resolve_data_plane",
     "shm_available",
 ]
 
@@ -114,47 +108,14 @@ def shm_available() -> bool:
     """
     global _AVAILABLE
     if _AVAILABLE is None:
-        if not HAVE_SHM:
+        try:
+            probe = _shared_memory.SharedMemory(create=True, size=1)
+            probe.close()
+            probe.unlink()
+            _AVAILABLE = True
+        except (OSError, ValueError):
             _AVAILABLE = False
-        else:
-            try:
-                probe = _shared_memory.SharedMemory(create=True, size=1)
-                probe.close()
-                probe.unlink()
-                _AVAILABLE = True
-            except (OSError, ValueError):
-                _AVAILABLE = False
     return _AVAILABLE
-
-
-def resolve_data_plane(requested: str) -> tuple[str, Optional[str]]:
-    """Resolve a ``data_plane`` request against what the host supports.
-
-    Returns ``(plane, fallback_reason)``.  ``"auto"`` resolves to
-    ``"shm"`` when shared memory is usable and degrades to ``"pickle"``
-    otherwise, carrying the reason ``"no-shared-memory"`` so engines
-    can record why.  Explicit requests are honored or rejected, never degraded:
-    ``"pickle"`` always works, ``"shm"`` raises
-    :class:`~repro.errors.ParameterError` on a host that cannot serve
-    it.
-    """
-    from repro.errors import ParameterError
-
-    if requested not in ("auto", "shm", "pickle"):
-        raise ParameterError(
-            f"unknown data plane {requested!r}; choose 'auto', 'shm' "
-            "or 'pickle'"
-        )
-    if requested == "pickle":
-        return "pickle", None
-    if not shm_available():
-        if requested == "shm":
-            raise ParameterError(
-                "shared memory is unavailable on this host; use "
-                "data_plane='pickle' (or 'auto' to fall back silently)"
-            )
-        return "pickle", "no-shared-memory"
-    return "shm", None
 
 
 def _cleanup_segments(segments: dict) -> None:
@@ -196,8 +157,8 @@ class ShmDataPlane:
             from repro.errors import ParameterError
 
             raise ParameterError(
-                "shared memory is unavailable on this host; use "
-                "data_plane='pickle' (or 'auto' to fall back silently)"
+                "shared memory is unavailable on this host; the pooled "
+                "engines run in-process here"
             )
         self._segments: dict[str, object] = {}
         self._counter = 0
@@ -272,13 +233,6 @@ class ShmDataPlane:
         # cleanup runs directly — either path unlinks each name once.
         if self._finalizer.detach() is not None:
             _cleanup_segments(self._segments)
-
-    # Context-manager sugar for the ephemeral (non-session) engine path.
-    def __enter__(self) -> "ShmDataPlane":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
 
 def live_segment_names() -> tuple[str, ...]:

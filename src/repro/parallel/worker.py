@@ -24,11 +24,16 @@ that reproduce the sequential output *bit for bit*:
    "``w`` filter-dominated, or ``w < u`` and refine-dominated" and
    return the first dominator that passes Def. 2's tie-break.
 
-Both passes are pure functions of a :class:`RefineState`, which workers
-rebuild once per process from a pickle-cheap CSR payload
-(:meth:`~repro.graph.adjacency.Graph.to_csr`) and then reuse for every
+Both passes are pure functions of a :class:`RefineState`
+(:func:`status_chunk` / :func:`witness_chunk` take it explicitly; the
+engine's in-process path and the supervisor's sequential fallback call
+them directly).  Workers build their state from a :class:`RefineSpec`
+over the shared-memory CSR segments they attached at pool start
+(:mod:`repro.parallel.shm`), cache it per call, and reuse it for every
 chunk they are handed — including the per-worker
-:class:`~repro.bloom.vertex_filters.VertexBloomIndex`.
+:class:`~repro.bloom.vertex_filters.VertexBloomIndex`.  Only the worker
+entry points (:func:`run_status_chunk` / :func:`run_witness_chunk`)
+resolve state from a spec.
 
 Both passes also come in a block-vectorized flavor
 (``refine="block"``): the chunk runners hand whole candidate ranges to
@@ -59,25 +64,27 @@ from repro.parallel.shm import SegmentRef, attach_view, release_attachments
 __all__ = [
     "RefineSpec",
     "RefineState",
-    "build_payload",
     "build_state",
     "init_worker",
+    "publish_refine_spec",
     "run_status_chunk",
     "run_witness_chunk",
     "scan_status",
     "scan_witness",
+    "status_chunk",
     "validate_status_chunk",
     "validate_witness_chunk",
+    "witness_chunk",
 ]
 
 
 class RefineSpec(NamedTuple):
-    """Per-call refine parameters, shipped inside each shm-plane task.
+    """Per-call refine parameters, shipped inside each task.
 
-    On the shared-memory plane the pool initializer installs only the
-    *graph* (attached CSR views, one per process lifetime); everything
-    call-scoped — candidates, filter dominators, kernel knobs, the
-    optional core numbers — rides in this spec as
+    The pool initializer installs only the *graph* (attached CSR views,
+    one per process lifetime); everything call-scoped — candidates,
+    filter dominators, kernel knobs, the optional core numbers — rides
+    in this spec as
     :class:`~repro.parallel.shm.SegmentRef` handles plus scalars, a few
     hundred bytes per task.  Workers cache the state they build from a
     spec under ``key`` (the engine derives it from the segment names and
@@ -86,7 +93,6 @@ class RefineSpec(NamedTuple):
     attachments.
     """
 
-    epoch: int
     key: tuple
     refine: str
     bits: int
@@ -157,8 +163,8 @@ def build_state(
     return RefineState(graph, candidates, dominator, blooms)
 
 
-def build_payload(
-    graph: Graph,
+def publish_refine_spec(
+    session,
     candidates: Sequence[int],
     dominator: Sequence[int],
     *,
@@ -166,29 +172,39 @@ def build_payload(
     seed: int,
     refine: str = "bloom",
     cores: Optional[Sequence[int]] = None,
-) -> tuple:
-    """The pickle-cheap snapshot shipped to every worker's initializer.
+) -> RefineSpec:
+    """Publish one call's scoped arrays on ``session``; return its spec.
 
-    In block mode the parent's k-core numbers ride along, so workers
-    never re-peel the graph.
+    The arrays go into the session's content-keyed segment cache, so a
+    repeated call gets the same segment names — and therefore the same
+    ``key``, which lets warm workers reuse their cached state.
     """
-    indptr, indices = graph.to_csr()
-    return (
-        indptr,
-        indices,
-        array("q", candidates),
-        array("q", dominator),
-        bits,
-        seed,
-        refine,
-        array("q", cores) if cores is not None else None,
+    cand_ref = session.cached_segment("cand", array("q", candidates), "q")
+    dom_ref = session.cached_segment("dom", array("q", dominator), "q")
+    cores_ref = (
+        session.cached_segment("cores", array("q", cores), "q")
+        if cores is not None
+        else None
+    )
+    return RefineSpec(
+        key=(
+            refine,
+            bits,
+            seed,
+            cand_ref.name,
+            dom_ref.name,
+            cores_ref.name if cores_ref is not None else None,
+        ),
+        refine=refine,
+        bits=bits,
+        seed=seed,
+        candidates=cand_ref,
+        dominator=dom_ref,
+        cores=cores_ref,
     )
 
 
-#: Worker-process state, populated by :func:`init_worker` (pickle plane).
-_STATE: Optional[RefineState] = None
-
-#: Worker-process graph view over attached CSR segments (shm plane).
+#: Worker-process graph view over the attached CSR segments.
 _GRAPH: Optional[Graph] = None
 
 #: Cache of the last :class:`RefineSpec` materialized in this process:
@@ -197,48 +213,20 @@ _GRAPH: Optional[Graph] = None
 _CALL: Optional[dict] = None
 
 
-def init_worker(payload: tuple) -> None:
-    """Pool initializer for either data plane.
+def init_worker(graph_refs: dict) -> None:
+    """Pool initializer: attach the graph's CSR segments.
 
-    Pickle plane: the classic 8-field payload of :func:`build_payload`
-    — rebuild graph, candidates and the kernel once per process.  Shm
-    plane: ``("shm", {"indptr": ref, "indices": ref})`` — attach the
-    CSR segments and build a lazy :class:`~repro.graph.adjacency.
-    CSRGraphView`; per-call state arrives later inside each task's
+    ``graph_refs`` is ``{"indptr": ref, "indices": ref}``; the worker
+    builds a lazy :class:`~repro.graph.adjacency.CSRGraphView` over the
+    attached views.  Per-call state arrives later inside each task's
     :class:`RefineSpec`.  Pool rebuilds after a crash re-run this with
     the same initargs, so a fresh worker re-attaches automatically.
     """
-    global _STATE, _GRAPH, _CALL
-    # isinstance guard: the pickle payload leads with the indptr array,
-    # and ndarray == str compares elementwise instead of returning False.
-    if payload and isinstance(payload[0], str) and payload[0] == "shm":
-        refs = payload[1]
-        _GRAPH = CSRGraphView(
-            attach_view(refs["indptr"]), attach_view(refs["indices"])
-        )
-        _STATE = None
-        _CALL = None
-        return
-    (
-        indptr,
-        indices,
-        candidates,
-        dominator,
-        bits,
-        seed,
-        refine,
-        cores,
-    ) = payload
-    graph = Graph.from_csr(indptr, indices)
-    _STATE = build_state(
-        graph,
-        candidates,
-        dominator,
-        bits=bits,
-        seed=seed,
-        refine=refine,
-        cores=cores,
+    global _GRAPH, _CALL
+    _GRAPH = CSRGraphView(
+        attach_view(graph_refs["indptr"]), attach_view(graph_refs["indices"])
     )
+    _CALL = None
 
 
 def _call_state(spec: RefineSpec) -> RefineState:
@@ -255,8 +243,8 @@ def _call_state(spec: RefineSpec) -> RefineState:
         return cached["state"]
     if _GRAPH is None:
         raise RuntimeError(
-            "received a shared-memory task but this worker was not "
-            "initialized with a shm payload"
+            "received a refine task but this worker was not initialized "
+            "with the graph's segments"
         )
     candidates = attach_view(spec.candidates)
     dominator = attach_view(spec.dominator)
@@ -280,14 +268,6 @@ def _call_state(spec: RefineSpec) -> RefineState:
         cached = None  # drop the old state (and its views) first
         release_attachments(stale)
     return state
-
-
-def _task_bounds(task: tuple) -> tuple[int, int]:
-    """``(lo, hi)`` of a classic ``(lo, hi, ...)`` or spec-led task."""
-    first = task[0]
-    if isinstance(first, int):
-        return first, task[1]
-    return task[1], task[2]
 
 
 def scan_status(state: RefineState, u: int, stats: SkylineCounters) -> bool:
@@ -421,20 +401,11 @@ def _ensure_flags(state: RefineState, dominated: Sequence[int]) -> None:
         state.refine_dominated = flags
 
 
-def run_status_chunk(task: tuple, state: Optional[RefineState] = None):
-    """Status pass over one candidate chunk.
+def status_chunk(state: RefineState, lo: int, hi: int):
+    """Status pass over candidates ``lo .. hi`` (indices into ``C``).
 
-    ``task`` is ``(lo, hi)`` on the pickle plane or
-    ``(spec, lo, hi)`` on the shm plane.  Returns
-    ``(dominated_ids, counter_dict)``.  ``state`` defaults to the
-    worker-process state (installed by :func:`init_worker` or resolved
-    from the spec); the engine passes its own when running in-process
-    or as the sequential fallback.
+    Returns ``(dominated_ids, counter_dict)``.
     """
-    if state is None:
-        first = task[0]
-        state = _STATE if isinstance(first, int) else _call_state(first)
-    lo, hi = _task_bounds(task)
     stats = SkylineCounters()
     if state.refine == "block":
         return block_status_chunk(state.ctx, lo, hi, stats), _chunk_stats(
@@ -444,6 +415,44 @@ def run_status_chunk(task: tuple, state: Optional[RefineState] = None):
         u for u in state.candidates[lo:hi] if scan_status(state, u, stats)
     ]
     return dominated, _chunk_stats(stats)
+
+
+def witness_chunk(
+    state: RefineState, dominated: Sequence[int], lo: int, hi: int
+):
+    """Witness pass over ``dominated[lo:hi]``.
+
+    ``dominated`` is the full ascending list from the status pass, so
+    the skip flags are built once per state and each chunk indexes its
+    slice.  Returns ``([(u, witness), ...], counter_dict)``.
+    """
+    stats = SkylineCounters()
+    if state.refine == "block":
+        state.ctx.ensure_refine_dominated(dominated)
+        pairs = block_witness_chunk(state.ctx, dominated[lo:hi], stats)
+        return pairs, _chunk_stats(stats)
+    _ensure_flags(state, dominated)
+    pairs = [(u, scan_witness(state, u, stats)) for u in dominated[lo:hi]]
+    return pairs, _chunk_stats(stats)
+
+
+def run_status_chunk(task: tuple):
+    """Worker entry of the status pass; ``task`` is ``(spec, lo, hi)``."""
+    spec, lo, hi = task
+    return status_chunk(_call_state(spec), lo, hi)
+
+
+def run_witness_chunk(task: tuple):
+    """Worker entry of the witness pass.
+
+    ``task`` is ``(spec, lo, hi, dominated_ref)``: the dominated list
+    lives in a call-scoped segment, attached on first touch and
+    released with the rest of the call's attachments.
+    """
+    spec, lo, hi, dom_ref = task
+    state = _call_state(spec)
+    _CALL["names"].add(dom_ref.name)
+    return witness_chunk(state, attach_view(dom_ref), lo, hi)
 
 
 def _chunk_stats(stats: SkylineCounters) -> dict:
@@ -481,7 +490,7 @@ def validate_status_chunk(task: tuple, result) -> bool:
     ``(ascending vertex-id list, counter dict)`` pair sized within the
     chunk — a worker returning garbage must never poison the merge.
     """
-    lo, hi = _task_bounds(task)
+    lo, hi = task[1], task[2]
     if not (isinstance(result, tuple) and len(result) == 2):
         return False
     part, stats = result
@@ -500,7 +509,7 @@ def validate_witness_chunk(task: tuple, result) -> bool:
     Exactly one ``(dominated, witness)`` pair per chunk entry — the
     witness pass never drops or invents candidates.
     """
-    lo, hi = _task_bounds(task)
+    lo, hi = task[1], task[2]
     if not (isinstance(result, tuple) and len(result) == 2):
         return False
     part, stats = result
@@ -513,34 +522,3 @@ def validate_witness_chunk(task: tuple, result) -> bool:
         if not (_valid_vertex(u) and _valid_vertex(w)) or u == w:
             return False
     return _valid_stats(stats)
-
-
-def run_witness_chunk(task: tuple, state: Optional[RefineState] = None):
-    """Witness pass over one chunk of the dominated-candidate list.
-
-    ``task`` is ``(lo, hi, dominated)`` on the pickle plane —
-    ``dominated`` is the full ascending list from the status pass,
-    shipped whole so each worker can build the skip flags once and
-    index its slice — or ``(spec, lo, hi, dominated_ref)`` on the shm
-    plane, where the list lives in a call-scoped segment attached on
-    first touch.  Returns ``([(u, witness), ...], counter_dict)``.
-    """
-    if isinstance(task[0], int):
-        lo, hi, dominated = task
-        if state is None:
-            state = _STATE
-    else:
-        spec, lo, hi, dom_ref = task
-        if state is None:
-            state = _call_state(spec)
-            if _CALL is not None and _CALL["state"] is state:
-                _CALL["names"].add(dom_ref.name)
-        dominated = attach_view(dom_ref)
-    stats = SkylineCounters()
-    if state.refine == "block":
-        state.ctx.ensure_refine_dominated(dominated)
-        pairs = block_witness_chunk(state.ctx, dominated[lo:hi], stats)
-        return pairs, _chunk_stats(stats)
-    _ensure_flags(state, dominated)
-    pairs = [(u, scan_witness(state, u, stats)) for u in dominated[lo:hi]]
-    return pairs, _chunk_stats(stats)

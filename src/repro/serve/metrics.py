@@ -11,8 +11,7 @@ stitches together every telemetry source the repo already has:
   bucket counts for dashboards,
 * the engine's own work counters — :class:`~repro.core.counters.
   SkylineCounters` sums and the ``resilience_*`` / ``parallel_session``
-  / ``data_plane`` extras every pooled call reports — summed across
-  all served requests.
+  extras every pooled call reports — summed across all served requests.
 
 Everything is plain ints/floats/strings, so ``json.dumps`` of
 :meth:`ServerMetrics.as_dict` *is* the ``/metrics`` payload.

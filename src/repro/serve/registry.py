@@ -100,7 +100,6 @@ class GraphEntry:
     graph: Graph
     source: str
     workers: int = 1
-    data_plane: str = "auto"
     timeout: Optional[float] = None
     _session: Optional[EngineSession] = field(default=None, repr=False)
     _skyline: Optional[SkylineResult] = field(default=None, repr=False)
@@ -119,7 +118,6 @@ class GraphEntry:
             self._session = EngineSession(
                 self.graph,
                 workers=self.workers,
-                data_plane=self.data_plane,
                 timeout=self.timeout,
             )
         return self._session
@@ -163,7 +161,6 @@ class GraphEntry:
             "vertices": self.graph.num_vertices,
             "edges": self.graph.num_edges,
             "workers": self.workers,
-            "data_plane": self.data_plane,
             "session": (
                 "cold"
                 if self._session is None or self._session.closed
@@ -190,7 +187,7 @@ class GraphEntry:
 class GraphRegistry:
     """Named graphs behind the serving layer; owns their sessions.
 
-    ``workers`` / ``data_plane`` / ``timeout`` apply to every entry's
+    ``workers`` / ``timeout`` apply to every entry's
     session (per-graph overrides can be added at :meth:`register`).
     ``close()`` is idempotent and closes every session — the registry
     is the single owner, so server shutdown tears down every pool and
@@ -201,11 +198,9 @@ class GraphRegistry:
         self,
         *,
         workers: int = 1,
-        data_plane: str = "auto",
         timeout: Optional[float] = None,
     ):
         self.workers = workers
-        self.data_plane = data_plane
         self.timeout = timeout
         self._entries: dict[str, GraphEntry] = {}
         self._lock = threading.Lock()
@@ -239,7 +234,6 @@ class GraphRegistry:
             graph=graph,
             source=source,
             workers=self.workers if workers is None else workers,
-            data_plane=self.data_plane,
             timeout=self.timeout,
         )
         self._entries[name] = entry

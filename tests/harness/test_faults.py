@@ -94,8 +94,9 @@ def test_perform_unknown_kind_raises():
 
 # -- the corrupt payload is rejected by every chunk schema -------------
 def test_corrupt_payload_fails_chunk_validation():
-    assert not validate_status_chunk((0, 4), CORRUPT_PAYLOAD)
-    assert not validate_witness_chunk((0, 4), CORRUPT_PAYLOAD)
+    # Tasks are (spec, lo, hi[, dominated_ref]); validators read lo/hi.
+    assert not validate_status_chunk((None, 0, 4), CORRUPT_PAYLOAD)
+    assert not validate_witness_chunk((None, 0, 4, None), CORRUPT_PAYLOAD)
 
 
 # -- ServeFaultPlan (PR 9: serving-layer chaos) ------------------------

@@ -114,13 +114,27 @@ def test_registered_with_api(karate):
     assert result.skyline == filter_refine_sky(karate).skyline
 
 
-#: The scheduling keys every run writes; pooled runs add the data-plane
-#: and ``resilience_*`` keys on top.
+#: The scheduling keys every run writes.
 SCHEDULING_KEYS = {
     "parallel_mode",
     "parallel_workers",
     "parallel_chunks",
     "parallel_rescans",
+}
+
+#: What a one-shot pooled run adds on top: the segment publish time and
+#: the supervisor's recovery tallies (no ``parallel_session`` label —
+#: that belongs to calls on a caller's session).
+POOLED_KEYS = {
+    "plane_publish_s",
+    "resilience_retries",
+    "resilience_fallback_chunks",
+    "resilience_worker_crashes",
+    "resilience_deadline_kills",
+    "resilience_worker_errors",
+    "resilience_corrupt_payloads",
+    "resilience_pool_rebuilds",
+    "resilience_backoffs",
 }
 
 #: The refine-related ``counters.extra`` keys each kernel writes.
@@ -148,13 +162,9 @@ def test_pooled_counters_match_in_process():
         assert inproc.extra["parallel_mode"] == "in-process"
         assert inproc.extra["refine_path"] == refine
         assert set(inproc.extra) == SCHEDULING_KEYS | refine_keys
-        pooled_refine_keys = {
-            key
-            for key in pooled.extra
-            if key not in SCHEDULING_KEYS
-            and not key.startswith(("data_plane", "plane_", "resilience_"))
-        }
-        assert pooled_refine_keys == refine_keys
+        assert set(pooled.extra) == (
+            SCHEDULING_KEYS | refine_keys | POOLED_KEYS
+        )
 
 
 # ---------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""EngineSession and data-plane semantics.
+"""EngineSession semantics.
 
 The contracts under test:
 
-* **Bit-for-bit equality** — {sequential, pickle plane, shm plane} ×
-  {one-shot, warm session} all return the identical skyline/group,
-  including under every injected fault kind.
+* **Bit-for-bit equality** — sequential, one-shot pooled and warm
+  session calls all return the identical skyline/group, including under
+  every injected fault kind.
 * **Warm reuse** — the first pooled call of a session is ``"cold"``,
   later calls ``"warm"``; refine and greedy share one pool.
 * **Lifecycle** — double-close is a no-op, use-after-close raises
@@ -29,10 +29,11 @@ from repro.graph.generators import copying_power_law
 from repro.harness.faults import FaultPlan
 from repro.parallel import (
     EngineSession,
+    live_segment_names,
     parallel_refine_sky,
     shm_available,
 )
-from repro.parallel.supervisor import DEFAULT_TIMEOUT
+from repro.parallel.supervisor import DEFAULT_MAX_RETRIES, DEFAULT_TIMEOUT
 
 from tests.conftest import graphs
 
@@ -62,7 +63,6 @@ def _timeout_for(kind: str) -> float:
 def test_session_refine_cold_then_warm(karate):
     seq = filter_refine_sky(karate)
     with EngineSession(karate, workers=2) as session:
-        assert session.data_plane == "shm"
         labels = []
         for _ in range(3):
             counters = SkylineCounters()
@@ -72,7 +72,6 @@ def test_session_refine_cold_then_warm(karate):
             assert result.skyline == seq.skyline
             assert result.dominator == seq.dominator
             assert result.candidates == seq.candidates
-            assert counters.extra["data_plane"] == "shm"
             labels.append(counters.extra["parallel_session"])
         assert labels == ["cold", "warm", "warm"]
     assert multiprocessing.active_children() == []
@@ -130,20 +129,6 @@ def test_concurrent_sessions_on_two_graphs(karate, small_power_law):
         assert sa.refine_sky(small_graph_edges=0).skyline == seq_a.skyline
 
 
-def test_pickle_plane_session_is_always_cold(karate):
-    seq = filter_refine_sky(karate)
-    with EngineSession(karate, workers=2, data_plane="pickle") as session:
-        assert session.data_plane == "pickle"
-        for _ in range(2):
-            counters = SkylineCounters()
-            result = session.refine_sky(
-                small_graph_edges=0, counters=counters
-            )
-            assert result.skyline == seq.skyline
-            assert counters.extra["data_plane"] == "pickle"
-            assert counters.extra["parallel_session"] == "cold"
-
-
 # ---------------------------------------------------------------------
 # Lifecycle and conflict rejection
 # ---------------------------------------------------------------------
@@ -191,23 +176,32 @@ def test_session_rejects_conflicting_knobs(karate):
             session.refine_sky(timeout=1.0)
         with pytest.raises(ParameterError, match="max_retries"):
             session.refine_sky(max_retries=7)
+        objective = ClosenessObjective(karate)
+        with pytest.raises(ParameterError, match="workers"):
+            session.greedy_maximize(3, objective, workers=3)
+        with pytest.raises(ParameterError, match="fault_plan"):
+            session.greedy_maximize(
+                3, objective, fault_plan=FaultPlan.single("crash")
+            )
+        with pytest.raises(ParameterError, match="timeout"):
+            session.greedy_maximize(3, objective, timeout=1.0)
+        with pytest.raises(ParameterError, match="max_retries"):
+            session.greedy_maximize(3, objective, max_retries=7)
         # Matching values pass the conflict checks untouched.
         result = session.refine_sky(workers=2, timeout=5.0)
         assert result.skyline == filter_refine_sky(karate).skyline
+        group = session.greedy_maximize(3, objective, workers=2, timeout=5.0)
+        assert group.group == greedy_maximize(karate, 3, objective).group
 
 
-@needs_shm
-def test_session_rejects_conflicting_data_plane(karate):
-    with EngineSession(karate, workers=2, data_plane="pickle") as session:
-        with pytest.raises(ParameterError, match="data_plane"):
-            session.refine_sky(data_plane="shm")
-    with EngineSession(karate, workers=2, data_plane="shm") as session:
-        with pytest.raises(ParameterError, match="data_plane"):
-            session.refine_sky(data_plane="pickle")
-        with pytest.raises(ParameterError, match="data_plane"):
-            session.greedy_maximize(
-                3, ClosenessObjective(karate), data_plane="pickle"
-            )
+def test_session_max_retries_conflict_uses_default(karate):
+    """Leaving ``max_retries`` at DEFAULT_MAX_RETRIES defers to a
+    session built with another budget, in both engines."""
+    with EngineSession(karate, workers=2, max_retries=5) as session:
+        session.refine_sky(max_retries=DEFAULT_MAX_RETRIES)
+        session.greedy_maximize(
+            3, ClosenessObjective(karate), max_retries=DEFAULT_MAX_RETRIES
+        )
 
 
 def test_eager_greedy_rejects_session(karate):
@@ -220,22 +214,6 @@ def test_eager_greedy_rejects_session(karate):
                 strategy="eager",
                 session=session,
             )
-
-
-def test_unknown_data_plane_rejected(karate):
-    with pytest.raises(ParameterError, match="data plane"):
-        parallel_refine_sky(karate, data_plane="carrier-pigeon")
-    with pytest.raises(ParameterError, match="data plane"):
-        EngineSession(karate, data_plane="carrier-pigeon")
-
-
-def test_pickle_session_has_no_segments(karate):
-    session = EngineSession(karate, workers=2, data_plane="pickle")
-    with pytest.raises(ParameterError, match="pickle plane"):
-        session.graph_refs()
-    with pytest.raises(ParameterError, match="pickle plane"):
-        session.cached_segment("cand", b"abc", "B")
-    session.close()
 
 
 @needs_shm
@@ -256,34 +234,55 @@ def test_segment_cache_is_bounded(karate):
 
 
 # ---------------------------------------------------------------------
-# Automatic fallback when shm is unusable
+# Hosts without usable shared memory run in-process
 # ---------------------------------------------------------------------
-def test_auto_falls_back_to_pickle_without_shm(karate, monkeypatch):
+def test_pooled_calls_run_in_process_without_shm(karate, monkeypatch):
     import repro.parallel.shm as shm_mod
 
     monkeypatch.setattr(shm_mod, "_AVAILABLE", False)
     seq = filter_refine_sky(karate)
+    seq_grp = greedy_maximize(karate, 4, ClosenessObjective(karate))
+
     counters = SkylineCounters()
     result = parallel_refine_sky(
-        karate,
-        workers=2,
-        small_graph_edges=0,
-        data_plane="auto",
-        counters=counters,
+        karate, workers=2, small_graph_edges=0, counters=counters
     )
     assert result.skyline == seq.skyline
-    assert counters.extra["data_plane"] == "pickle"
-    assert counters.extra["data_plane_fallback_reason"] == "no-shared-memory"
-    session = EngineSession(karate, workers=2)
-    assert session.data_plane == "pickle"
-    assert session.plane_fallback_reason == "no-shared-memory"
-    session.close()
-    # Explicitly requesting shm on such a host is an error, not a
-    # silent degrade.
-    with pytest.raises(ParameterError, match="unavailable"):
-        parallel_refine_sky(
-            karate, workers=2, small_graph_edges=0, data_plane="shm"
+    assert result.dominator == seq.dominator
+    assert counters.extra["parallel_mode"] == "in-process"
+
+    counters = SkylineCounters()
+    group = lazy_greedy_maximize(
+        karate,
+        4,
+        ClosenessObjective(karate),
+        workers=2,
+        small_graph_edges=0,
+        counters=counters,
+    )
+    assert group.group == seq_grp.group
+    assert group.gains == seq_grp.gains
+    assert counters.extra["parallel_mode"] == "in-process"
+
+    with EngineSession(karate, workers=2) as session:
+        counters = SkylineCounters()
+        result = session.refine_sky(small_graph_edges=0, counters=counters)
+        assert result.skyline == seq.skyline
+        assert result.dominator == seq.dominator
+        assert counters.extra["parallel_mode"] == "in-process"
+        counters = SkylineCounters()
+        group = session.greedy_maximize(
+            4, ClosenessObjective(karate), small_graph_edges=0,
+            counters=counters,
         )
+        assert group.group == seq_grp.group
+        assert group.gains == seq_grp.gains
+        assert counters.extra["parallel_mode"] == "in-process"
+        # Nothing was published: no plane, no segment, no pool.
+        assert session.plane is None
+        assert session._supervisor is None
+    assert live_segment_names() == ()
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------
@@ -308,14 +307,13 @@ def test_session_fault_matrix_stays_exact(karate, kind):
 
 @needs_shm
 def test_oneshot_shm_fault_recovery(karate):
-    """One-shot shm calls (no session) recover and clean up too."""
+    """One-shot pooled calls (no session) recover and clean up too."""
     seq = filter_refine_sky(karate)
     counters = SkylineCounters()
     result = parallel_refine_sky(
         karate,
         workers=2,
         small_graph_edges=0,
-        data_plane="shm",
         fault_plan=FaultPlan({(0, a): "oom" for a in range(10)}),
         max_retries=1,
         counters=counters,
@@ -339,8 +337,20 @@ def test_session_greedy_fault_recovery(karate):
 
 
 # ---------------------------------------------------------------------
-# Differential: sequential vs pickle vs shm, one-shot vs session
+# Differential: sequential vs one-shot pooled vs warm session
 # ---------------------------------------------------------------------
+def _assert_no_recovery(counters: SkylineCounters) -> None:
+    # A worker dying at init must not hide behind the sequential
+    # fallback: a healthy pooled run records no recovery event at all.
+    events = {
+        k: v
+        for k, v in counters.extra.items()
+        if k.startswith("resilience_") and v
+    }
+    assert not events, f"pooled run degraded: {events}"
+
+
+@needs_shm
 @settings(
     max_examples=8,
     deadline=None,
@@ -349,19 +359,21 @@ def test_session_greedy_fault_recovery(karate):
 @given(graphs(max_vertices=18))
 def test_planes_agree_with_sequential(graph):
     seq = filter_refine_sky(graph)
-    pickle_r = parallel_refine_sky(
-        graph, workers=2, small_graph_edges=0, data_plane="pickle"
+    counters = SkylineCounters()
+    oneshot = parallel_refine_sky(
+        graph, workers=2, small_graph_edges=0, counters=counters
     )
-    assert pickle_r.skyline == seq.skyline
-    assert pickle_r.dominator == seq.dominator
-    if shm_available():
-        shm_r = parallel_refine_sky(
-            graph, workers=2, small_graph_edges=0, data_plane="shm"
-        )
-        assert shm_r.skyline == seq.skyline
-        assert shm_r.dominator == seq.dominator
-        with EngineSession(graph, workers=2) as session:
-            for _ in range(2):
-                warm = session.refine_sky(small_graph_edges=0)
-                assert warm.skyline == seq.skyline
-                assert warm.dominator == seq.dominator
+    assert oneshot.skyline == seq.skyline
+    assert oneshot.dominator == seq.dominator
+    _assert_no_recovery(counters)
+    assert "parallel_session" not in counters.extra
+    with EngineSession(graph, workers=2) as session:
+        for label in ("cold", "warm"):
+            counters = SkylineCounters()
+            warm = session.refine_sky(
+                small_graph_edges=0, counters=counters
+            )
+            assert warm.skyline == seq.skyline
+            assert warm.dominator == seq.dominator
+            _assert_no_recovery(counters)
+            assert counters.extra["parallel_session"] == label

@@ -27,27 +27,27 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def test_mid_publish_failure_leaks_nothing(residue_check):
+def test_mid_publish_failure_leaks_nothing(residue_check, monkeypatch):
     """The second CSR publish failing must unlink the first segment."""
-    session = EngineSession(load("karate"), workers=1, data_plane="shm")
+    session = EngineSession(load("karate"), workers=1)
     try:
-        real_publish = session.plane.publish
+        real_publish = ShmDataPlane.publish
         calls = {"n": 0}
 
-        def failing_publish(data, typecode="B"):
+        def failing_publish(plane, data, typecode="B"):
             calls["n"] += 1
             if calls["n"] == 2:  # indptr lands, indices fails
                 raise OSError("injected mid-publish failure")
-            return real_publish(data, typecode)
+            return real_publish(plane, data, typecode)
 
-        session.plane.publish = failing_publish
+        monkeypatch.setattr(ShmDataPlane, "publish", failing_publish)
         with pytest.raises(OSError, match="mid-publish"):
             session.graph_refs()
         # Atomicity: the orphaned indptr segment was unlinked on the
         # failure path, before the exception ever reached us.
         residue_check()
         # The session is still usable: a retry re-publishes both.
-        session.plane.publish = real_publish
+        monkeypatch.undo()
         refs = session.graph_refs()
         assert set(refs) == {"indptr", "indices"}
     finally:
@@ -112,7 +112,7 @@ def test_close_rebuild_cycle_is_hygienic(residue_check):
     graph = load("karate")
     baseline = None
     for cycle in range(3):
-        session = EngineSession(graph, workers=1, data_plane="shm")
+        session = EngineSession(graph, workers=1)
         refs = session.graph_refs()
         live = set(live_segment_names())
         assert {r.name for r in refs.values()} <= live

@@ -130,9 +130,9 @@ def test_close_unlinks_segments_even_if_pool_teardown_raises(monkeypatch):
     """Exception safety: a failing supervisor shutdown must not skip
     the shared-memory unlink (the try/finally under test)."""
     session = EngineSession(load("karate"), workers=2)
-    session.refine_sky()
+    session.refine_sky(small_graph_edges=0)
     supervisor = session._supervisor
-    if supervisor is not None:  # pickle-plane hosts have no warm pool
+    if supervisor is not None:  # hosts without shm have no warm pool
 
         def exploding_shutdown():
             raise RuntimeError("injected teardown failure")

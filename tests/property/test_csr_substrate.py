@@ -144,10 +144,12 @@ class TestSkylineEquivalence:
 
 class TestPicklePlanePayloads:
     def test_worker_init_sniff_handles_ndarray_payloads(self, karate):
-        """Regression: the plane sniff in the worker initializers must
-        not compare an ndarray payload head against ``"shm"``
-        (elementwise ``==`` made every pickle-plane worker die at init,
-        silently masked by the supervisor's sequential fallback)."""
+        """A pooled run on a CSR graph records no recovery event.
+
+        Workers dying at init (an ndarray initializer payload once
+        made every worker fail this way) are otherwise masked by the
+        supervisor's sequential fallback, which still returns the
+        right skyline."""
         from repro.core.counters import SkylineCounters
         from repro.parallel import parallel_refine_sky
 
@@ -156,7 +158,6 @@ class TestPicklePlanePayloads:
         result = parallel_refine_sky(
             csr,
             workers=2,
-            data_plane="pickle",
             small_graph_edges=0,
             counters=counters,
         )

@@ -4,8 +4,8 @@
 witnesses and candidate set as the sequential bloom baseline (which
 the rest of the suite pins to ``naive``) — bit for bit, on
 hypothesis-generated graphs, on the twin-heavy tie-break stressors, on
-every registered dataset, and through the parallel engine on both data
-planes.  The counter relations the kernel claims are pinned too: same
+every registered dataset, and through the parallel engine, in-process
+and pooled.  The counter relations the kernel claims are pinned too: same
 vertices examined, same dominations found, bulk skip tallies never
 undercounting, zero bloom machinery, and the core-number pretest's
 rejects surfaced in ``counters.extra``.
@@ -138,14 +138,13 @@ def test_parallel_block_in_process(g, chunk_size):
 
 
 @POOLED
-@given(graphs(), st.sampled_from(["shm", "pickle"]))
-def test_parallel_block_pooled_both_planes(g, plane):
+@given(graphs())
+def test_parallel_block_pooled_both_planes(g):
     par = parallel_refine_sky(
         g,
         workers=2,
         small_graph_edges=0,
         refine="block",
-        data_plane=plane,
         counters=SkylineCounters(),
     )
     assert_same_result(par, filter_refine_sky(g))

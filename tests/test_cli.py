@@ -158,9 +158,10 @@ def test_unknown_algorithm_is_parameter_error(capsys):
         assert code == 2
         assert "unknown skyline algorithm" in capsys.readouterr().err
     # Removed flags are usage errors (argparse exits with status 2).
-    with pytest.raises(SystemExit) as exc:
-        main(["skyline", "--dataset", "karate", "--word-budget", "8"])
-    assert exc.value.code == 2
+    for flag in (["--word-budget", "8"], ["--data-plane", "shm"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["skyline", "--dataset", "karate", *flag])
+        assert exc.value.code == 2
 
 
 def test_malformed_edge_list_names_file_and_line(tmp_path, capsys):
